@@ -21,7 +21,7 @@ from . import multinet
 from .fracdiff import FracDiffSpec, default_adf_lags, find_min_alpha, fracdiff_apply
 from .multinet import MultilayerNetwork
 from .panel import PanelSeries, export_panel
-from .regression import FitConfig, als_fit, build_lagged_pairs, predicted_r2, select_lambda
+from .regression import FitConfig, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 _XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
@@ -235,29 +235,27 @@ def prepare_panel(panel: PanelSeries, config: PipelineConfig):
 
 
 def fit_model(panel: PanelSeries, config: PipelineConfig):
-    """Select the ridge weight on a chronological split and refit on train.
+    """Select the ridge weight on a chronological split.
 
-    Returns ``(model, info)``; the model is trained on the first
-    ``train_fraction`` of lagged pairs with the selected lambda.
+    Returns ``(model, info)``; the model is the one the lambda search
+    trained on the first ``train_fraction`` of lagged pairs with the
+    selected lambda.
     """
     fit_cfg = config.fit_config()
-    best_lambda, table = select_lambda(panel.values, config.ranks, fit_cfg,
-                                       lag=config.lag)
-    x, y = build_lagged_pairs(panel.values, config.lag)
-    n_train = int(x.shape[0] * config.train_fraction)
-    model, report = als_fit(x[:n_train], y[:n_train], config.ranks,
-                            best_lambda, fit_cfg)
-    r2 = predicted_r2(model, x[n_train:], y[n_train:])
+    model, report, table = fit_lambda_grid(panel.values, config.ranks, fit_cfg,
+                                           lag=config.lag)
+    n_pairs = panel.values.shape[0] - config.lag
+    n_train = int(n_pairs * config.train_fraction)
     info = {
-        "lambda": best_lambda,
+        "lambda": model.ridge,
         "r2_table": [[lam, table[lam]] for lam in fit_cfg.lambda_grid],
         "ranks": list(model.ranks),
         "n_train": n_train,
-        "n_test": int(x.shape[0] - n_train),
+        "n_test": n_pairs - n_train,
         "n_sweeps": report.n_sweeps,
         "converged": report.converged,
         "objective_final": report.objective_trace[-1],
-        "predicted_r2": r2,
+        "predicted_r2": report.predicted_r2,
     }
     return model, info
 

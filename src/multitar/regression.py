@@ -10,12 +10,15 @@ reconstructed ``B``, not on the individual Tucker blocks.
 Each ALS sweep updates the core and then every factor matrix in mode order.
 Every update is the exact minimizer of the penalized objective in that block
 with the others held fixed, so the objective trace is non-increasing.
+Sweeps run on ``[R_x | R_y]``, the R factor of the centered ``[Xc | Yc]``
+(at most ``p + q`` rows): it has the same Gram matrices and the same residual
+norms ``||R_y - R_x B|| = ||Yc - Xc B||``, so a sweep's cost does not grow with T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -29,14 +32,6 @@ from .tensor_ops import (
     tucker_reconstruct,
     unfold,
 )
-
-# Above this coefficient size the closed-form initializer is skipped in
-# favor of seeded random orthonormal factors.
-_SPECTRAL_INIT_LIMIT = 200_000
-
-# float budget per chunk of the factor-update design tensor; bounds memory
-# when entity counts grow
-_DESIGN_BUDGET = 1 << 24
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -267,23 +262,17 @@ def _update_regressor_factor(xc, yc, core, factors, k, ridge):
     n = xc.shape[0]
     n_reg = xc.ndim - 1
     i_d, r_d = factors[k].shape
-    g_resp = _apply_response_factors(core, factors, n_reg)
-    z_axes = [a + 1 for a in range(n_reg) if a != k]
-    g_axes = [a for a in range(n_reg) if a != k]
-    yu = yc.reshape(n, -1)
-    q = yu.shape[1]
-
-    dtd = np.zeros((i_d * r_d, i_d * r_d))
-    rhs = np.zeros(i_d * r_d)
-    chunk = max(1, min(n, _DESIGN_BUDGET // max(1, i_d * r_d * q)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        z = _apply_regressor_factors(xc[lo:hi], factors, n_reg, skip=k)
-        t1 = np.tensordot(z, g_resp, axes=(z_axes, g_axes))
-        t1 = np.moveaxis(t1.reshape(hi - lo, i_d * r_d, q), 1, 0)
-        t1 = np.ascontiguousarray(t1).reshape(i_d * r_d, -1)
-        dtd += t1 @ t1.T
-        rhs += t1 @ yu[lo:hi].reshape(-1)
+    # the prediction is linear in U_k: yhat[t, j] = sum z[t, i, u] U_k[i, a] c[a, u, j]
+    z = _apply_regressor_factors(xc, factors, n_reg, skip=k)
+    z = np.moveaxis(z, k + 1, 1).reshape(n, i_d, -1)
+    c = np.moveaxis(_apply_response_factors(core, factors, n_reg), k, 0)
+    c = c.reshape(r_d, z.shape[2], -1)
+    ztz = np.tensordot(z, z, axes=(0, 0))
+    cct = np.tensordot(c, c, axes=(2, 2))
+    dtd = np.einsum("iujv,aubv->iajb", ztz, cct, optimize=True)
+    dtd = dtd.reshape(i_d * r_d, i_d * r_d)
+    zty = np.tensordot(z, yc.reshape(n, -1), axes=(0, 0))
+    rhs = np.einsum("iuj,auj->ia", zty, c, optimize=True).reshape(-1)
 
     if ridge > 0.0:
         dtd = dtd + ridge * np.kron(np.eye(i_d), _penalty_gram(core, factors, k))
@@ -310,21 +299,17 @@ def _update_response_factor(xc, yc, core, factors, d, ridge):
 
 
 def _init_factors(x, y, ranks, ridge, seed):
-    n_reg = x.ndim - 1
     dims = x.shape[1:] + y.shape[1:]
     rng = np.random.default_rng(seed)
-    p = int(np.prod(x.shape[1:]))
-    q = int(np.prod(y.shape[1:]))
-    b0 = None
-    if p * q <= _SPECTRAL_INIT_LIMIT and x.shape[0] > 1:
-        try:
-            b0 = closed_form_fit(x, y, ridge).reshape(dims)
-        except SingularSystemError:
-            b0 = None
+    try:
+        b0 = closed_form_fit(x, y, ridge).reshape(dims)
+    except SingularSystemError:
+        b0 = None
     factors = []
     for d, (extent, rank) in enumerate(zip(dims, ranks)):
         if b0 is not None:
-            u, _, _ = np.linalg.svd(unfold(b0, d), full_matrices=False)
+            b0_d = unfold(b0, d)  # full basis if rank exceeds the other modes' size
+            u = np.linalg.svd(b0_d, full_matrices=b0_d.shape[1] < rank)[0]
             factors.append(np.ascontiguousarray(u[:, :rank]))
         else:
             gauss = rng.standard_normal((extent, rank))
@@ -359,13 +344,15 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
 
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
-    xc = x - x_mean
-    yc = y - y_mean
-    yc_flat = yc.reshape(yc.shape[0], -1)
+    n, p = x.shape[0], x[0].size
+    centered = np.hstack([(x - x_mean).reshape(n, p), (y - y_mean).reshape(n, -1)])
+    r_x, r_y = np.hsplit(np.linalg.qr(centered, mode="r"), [p])
+    xc = r_x.reshape((-1,) + x.shape[1:])
+    yc = r_y.reshape((-1,) + y.shape[1:])
 
     factors = _init_factors(x, y, ranks, ridge, config.seed)
     core = np.zeros(ranks)
-    y_scale = float(np.sum(yc_flat * yc_flat)) + 1e-300
+    y_scale = float(np.sum(r_y * r_y)) + 1e-300
     # at full rank the factors are invertible, so the core update alone
     # already solves the whole ridge problem and factor sweeps are redundant
     # reparameterizations
@@ -381,7 +368,7 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
             else:
                 factors[d] = _update_response_factor(xc, yc, core, factors, d, ridge)
         b = tucker_reconstruct(TuckerFactors(core, tuple(factors)))
-        resid = yc_flat - xc.reshape(xc.shape[0], -1) @ b.reshape(-1, yc_flat.shape[1])
+        resid = r_y - r_x @ b.reshape(p, -1)
         obj = float(np.sum(resid * resid)) + ridge * float(np.sum(b * b))
         if not math.isfinite(obj):
             raise SingularSystemError(
@@ -440,13 +427,13 @@ def predicted_r2(model: TarModel, x_test, y_test) -> float:
     return 1.0 - rss / tss
 
 
-def select_lambda(panel, ranks, config: FitConfig | None = None, lag: int = 1):
-    """Pick the ridge weight by out-of-sample R2 on a chronological split.
+def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1):
+    """Fit every grid value on a chronological split and keep the best.
 
     The first ``train_fraction`` of lagged sample pairs trains a model per
-    grid value; the remainder scores it.  Returns ``(best_lambda, table)``
-    where ``table`` maps each grid value to its predicted R2; ties go to the
-    smaller lambda.
+    grid value; the remainder scores it by out-of-sample R2.  Returns
+    ``(model, report, table)`` for the highest R2, ties going to the smaller
+    lambda, with ``report.predicted_r2`` set; ``table`` maps lambda to R2.
     """
     config = config or FitConfig()
     if not config.lambda_grid:
@@ -462,14 +449,23 @@ def select_lambda(panel, ranks, config: FitConfig | None = None, lag: int = 1):
     x_tr, y_tr = x[:n_train], y[:n_train]
     x_te, y_te = x[n_train:], y[n_train:]
 
-    table = {}
-    best_lambda = None
-    best_r2 = -np.inf
+    table, fits = {}, {}
     for lam in config.lambda_grid:
-        model, _ = als_fit(x_tr, y_tr, ranks, lam, config)
-        r2 = predicted_r2(model, x_te, y_te)
-        table[lam] = r2
-        if r2 > best_r2 or (r2 == best_r2 and lam < best_lambda):
-            best_r2 = r2
-            best_lambda = lam
-    return best_lambda, table
+        model, report = als_fit(x_tr, y_tr, ranks, lam, config)
+        table[lam] = predicted_r2(model, x_te, y_te)
+        fits[lam] = model, replace(report, predicted_r2=table[lam])
+    scored = [lam for lam, r2 in table.items() if not math.isnan(r2)]
+    if not scored:
+        raise ValueError(f"predicted R2 is NaN for every lambda in lambda_grid "
+                         f"{list(config.lambda_grid)}")
+    model, report = fits[max(scored, key=lambda lam: (table[lam], -lam))]
+    return model, report, table
+
+
+def select_lambda(panel, ranks, config: FitConfig | None = None, lag: int = 1):
+    """Pick the ridge weight by out-of-sample R2 on a chronological split.
+
+    Returns ``(best_lambda, table)``; see :func:`fit_lambda_grid`.
+    """
+    model, _, table = fit_lambda_grid(panel, ranks, config, lag)
+    return model.ridge, table

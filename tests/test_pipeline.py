@@ -19,7 +19,10 @@ from multitar.pipeline import (
     import_network,
     run_pipeline,
 )
-from multitar.pipeline import compute_measures
+from multitar import regression
+from multitar import pipeline as pipeline_module
+from multitar.panel import PanelSeries
+from multitar.pipeline import compute_measures, fit_model
 from multitar.synthetic import generate_tar_panel
 
 
@@ -160,6 +163,36 @@ class TestRunPipeline:
                              out_dir=str(tmp_path / "x"), retain_fraction=0.5)
         manifest = run_pipeline(cfg, zeroed)
         assert manifest["fracdiff"]["alpha"] == 0.2
+
+    def test_fit_runs_one_als_fit_per_grid_value(self, small_panel,
+                                                 small_config, monkeypatch):
+        calls = []
+        real = regression.als_fit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # count calls made through either module's binding of als_fit
+        monkeypatch.setattr(regression, "als_fit", counting)
+        monkeypatch.setattr(pipeline_module, "als_fit", counting, raising=False)
+        panel, _ = small_panel
+        model, info = fit_model(panel, small_config)
+        assert len(calls) == len(small_config.lambda_grid)
+        assert info["predicted_r2"] == dict(info["r2_table"])[info["lambda"]]
+        assert model.ridge == info["lambda"]
+
+    def test_all_nan_r2_fails_fit_stage(self, tmp_path):
+        # squares of the 1e160 test rows overflow, so every R2 is inf / inf
+        values = np.random.default_rng(24).standard_normal((100, 2, 2))
+        values[-5:] *= 1e160
+        panel = PanelSeries(dates=[str(np.datetime64("2020-01-01") + d)
+                                   for d in range(100)],
+                            entities=["a", "b"], layers=["x", "y"], values=values)
+        cfg = PipelineConfig(alpha=0.0, log_transform=False,
+                             lambda_grid=(0.0, 5.0), out_dir=str(tmp_path / "x"))
+        with pytest.raises(PipelineError, match=r"\[fit\].*lambda_grid"):
+            run_pipeline(cfg, panel)
 
     def test_burn_in_drop(self, small_panel, tmp_path):
         panel, _ = small_panel

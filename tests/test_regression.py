@@ -1,12 +1,17 @@
 """ALS fits checked against the closed-form ridge oracle and simulations."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitar.regression import (
     FitConfig,
     SingularSystemError,
+    _update_regressor_factor,
     als_fit,
     build_lagged_pairs,
     closed_form_fit,
@@ -184,6 +189,78 @@ class TestAlsFit:
         with pytest.raises(SingularSystemError, match="raise lambda"):
             als_fit(x, y, "full", 0.0, FitConfig(seed=12))
 
+    def test_full_rank_mode_wider_than_the_others(self):
+        # a scalar regressor and three responses: mode 1 has rank 3 while
+        # mode 0 spans one direction, so the spectral init needs the full basis
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((30, 1))
+        y = rng.standard_normal((30, 3))
+        model, _ = als_fit(x, y, "full", 1.0, FitConfig(seed=41))
+        np.testing.assert_allclose(model.coefficient_tensor(),
+                                   closed_form_fit(x, y, 1.0), rtol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        x_dims=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        y_dims=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        rank_draws=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        ridge=st.floats(0.01, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_objective_is_residual_on_raw_samples(self, n, x_dims, y_dims,
+                                                  rank_draws, ridge, seed):
+        # n < p + q leaves all n rows in the R factor; n >= p + q compresses
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, *x_dims))
+        y = rng.standard_normal((n, *y_dims))
+        dims = x_dims + y_dims
+        ranks = tuple(1 + int(u * (d - 1) + 0.5) for u, d in zip(rank_draws, dims))
+        if any(r * r > math.prod(ranks) for r in ranks):
+            # a rank above the product of the others is a degenerate Tucker
+            # model whose factor updates are singular; fit full rank instead
+            ranks = "full"
+        model, report = als_fit(x, y, ranks, ridge,
+                                FitConfig(max_sweeps=25, seed=seed))
+        b = model.coefficient_tensor().reshape(x[0].size, y[0].size)
+        xc = (x - x.mean(axis=0)).reshape(n, -1)
+        yc = (y - y.mean(axis=0)).reshape(n, -1)
+        expected = np.sum((yc - xc @ b) ** 2) + ridge * np.sum(b * b)
+        assert report.objective_trace[-1] == pytest.approx(expected, rel=1e-9)
+        assert is_non_increasing(report.objective_trace)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("ridge", [0.0, 3.0])
+    def test_regressor_factor_step_matches_kron_least_squares(self, k, ridge):
+        # oracle: explicit design on the raw samples, one column per entry of U_k
+        rng = np.random.default_rng(40 + k)
+        n, dims, ranks = 40, (5, 3, 4, 2), (2, 2, 3, 2)
+        x = rng.standard_normal((n, 5, 3))
+        y = rng.standard_normal((n, 4, 2))
+        xc = x - x.mean(axis=0)
+        yc = y - y.mean(axis=0)
+        core = rng.standard_normal(ranks)
+        factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        g = core.reshape(ranks[0] * ranks[1], ranks[2] * ranks[3])
+        w = np.kron(factors[2], factors[3])
+        i_k, r_k = factors[k].shape
+        design, penalty = [], []
+        for i in range(i_k):
+            for a in range(r_k):
+                unit = np.zeros((i_k, r_k))
+                unit[i, a] = 1.0
+                left = (np.kron(unit, factors[1]) if k == 0
+                        else np.kron(factors[0], unit))
+                db = left @ g @ w.T
+                design.append((xc.reshape(n, -1) @ db).reshape(-1))
+                penalty.append(np.sqrt(ridge) * db.reshape(-1))
+        lhs = np.vstack([np.array(design).T, np.array(penalty).T])
+        rhs = np.concatenate([yc.reshape(-1), np.zeros(len(penalty[0]))])
+        expected, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+
+        got = _update_regressor_factor(xc, yc, core, factors, k, ridge)
+        np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-9, atol=1e-12)
+
     def test_resolve_ranks(self):
         assert resolve_ranks("full", (3, 4)) == (3, 4)
         assert resolve_ranks([2, 2], (3, 4)) == (2, 2)
@@ -340,6 +417,13 @@ class TestSelectLambda:
                                     FitConfig(lambda_grid=(5.0, 3.0), seed=22))
         assert table[3.0] == table[5.0]
         assert best == 3.0
+
+    def test_all_nan_r2_names_the_grid(self):
+        # squares of the 1e160 test rows overflow, so every R2 is inf / inf
+        panel = np.random.default_rng(23).standard_normal((100, 2, 2))
+        panel[-5:] *= 1e160
+        with pytest.raises(ValueError, match=r"lambda_grid \[0\.0, 5\.0\]"):
+            select_lambda(panel, "full", FitConfig(lambda_grid=(0.0, 5.0)))
 
 
 def test_fit_config_validation():
