@@ -1,21 +1,36 @@
 """Command-line interface.
 
-Stages can be run end to end (``pipeline``) or one at a time, each reading
-the artifacts the previous stage wrote, so a run can be resumed from any
-intermediate output.  Failures exit nonzero with a stage-tagged message.
+Stages can be run end to end (``pipeline``) or one at a time.  Each staged
+command after ``ingest`` runs one row of the pipeline's stage table
+(:data:`multitar.pipeline.STAGES`) on the artifact the previous command
+wrote, so a run can be resumed from any intermediate output.  Failures exit
+nonzero with a stage-tagged message.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from . import pipeline as pl
 from .panel import export_panel, ingest_csv
 from .synthetic import generate_tar_panel
+
+# Staged commands: name, help, input flag, input help.  The flag also picks
+# how the input is read (see _read_input).
+_STAGED = (
+    ("ingest", "validate and canonicalize a panel CSV", "--input",
+     "long-format panel CSV"),
+    ("fracdiff", "log-transform and difference a panel", "--panel", "panel CSV"),
+    ("fit", "fit the tensor autoregression", "--panel", "differenced panel CSV"),
+    ("build-network", "arrange the coefficient into blocks", "--model",
+     "model directory"),
+    ("filter", "sparsify a network CSV", "--network", "network edge CSV"),
+    ("measure", "compute layer matrices and node measures", "--network",
+     "filtered network CSV"),
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -35,91 +50,42 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load_config(args) -> pl.PipelineConfig:
     config = (pl.PipelineConfig.from_file(args.config) if args.config
               else pl.PipelineConfig())
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "alpha", None) is not None:
+    flags = {"out_dir": args.out, "retain_fraction": args.retain,
+             "filter_method": args.method, "seed": args.seed}
+    updates = {key: v for key, v in flags.items() if v is not None}
+    if args.alpha is not None:
         updates["alpha"] = None if args.alpha == "search" else float(args.alpha)
-    if getattr(args, "ridge", None) is not None:
+    if args.ridge is not None:
         updates["lambda_grid"] = (float(args.ridge),)
-    if getattr(args, "retain", None) is not None:
-        updates["retain_fraction"] = args.retain
-    if getattr(args, "method", None) is not None:
-        updates["filter_method"] = args.method
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _write_stage_json(info: dict, out_dir: str, name: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _read_input(flag: str, path: str, config: pl.PipelineConfig):
+    if flag == "--model":
+        return pl.load_model_coefficient(path)
+    if flag == "--network":
+        return pl.import_network(path)
+    return ingest_csv(path, on_missing=config.missing_policy)
 
 
-def _cmd_ingest(args) -> None:
+def _cmd_stage(args) -> None:
+    """Read the input named by the command's flag and run the command's row
+    of the stage table (``ingest`` has none), plus ``<command>.json`` and the
+    hand-off files that only the next staged command reads."""
     config = _load_config(args)
-    panel = ingest_csv(args.input, on_missing=config.missing_policy)
-    os.makedirs(config.out_dir, exist_ok=True)
-    export_panel(panel, os.path.join(config.out_dir, "panel.csv"))
-    print(f"ingested {panel.n_dates} dates x {len(panel.entities)} entities "
-          f"x {len(panel.layers)} layers -> {config.out_dir}/panel.csv")
-
-
-def _cmd_fracdiff(args) -> None:
-    config = _load_config(args)
-    panel = ingest_csv(args.panel, on_missing=config.missing_policy)
-    differenced, info = pl.prepare_panel(panel, config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    export_panel(differenced, os.path.join(config.out_dir, "differenced.csv"))
-    _write_stage_json(info, config.out_dir, "fracdiff.json")
-    print(f"alpha={info['alpha']} ({info['alpha_source']}) -> "
-          f"{config.out_dir}/differenced.csv")
-
-
-def _cmd_fit(args) -> None:
-    config = _load_config(args)
-    panel = ingest_csv(args.panel, on_missing=config.missing_policy)
-    model, info = pl.fit_model(panel, config)
-    pl.save_model(model, panel, info, os.path.join(config.out_dir, "model"))
-    _write_stage_json(info, config.out_dir, "fit.json")
-    print(f"lambda={info['lambda']} predicted_r2={info['predicted_r2']:.6f} "
-          f"-> {config.out_dir}/model")
-
-
-def _cmd_build_network(args) -> None:
-    config = _load_config(args)
-    coefficient, meta = pl.load_model_coefficient(args.model)
-    net = pl.build_network(coefficient, (meta["entities"], meta["layers"]))
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "network_full.csv")
-    pl.export_network(net, path, "csv")
-    print(f"wrote {net.kept.size} edges -> {path}")
-
-
-def _cmd_filter(args) -> None:
-    config = _load_config(args)
-    net = pl.import_network(args.network)
-    filtered, info = pl.filter_network(net, config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "network.csv")
-    pl.export_network(filtered, path, "csv")
-    _write_stage_json(info, config.out_dir, "filter.json")
-    print(f"kept {info['total_kept']} of {info['total_edges']} edges -> {path}")
-
-
-def _cmd_measure(args) -> None:
-    config = _load_config(args)
-    net = pl.import_network(args.network)
-    assort, overlap, strength, coreness = pl.compute_measures(net, config)
+    data = _read_input(args.flag, args.source, config)
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    pl.export_network(net, os.path.join(out_dir, "network.graphml"), "graphml")
-    pl.export_network(net, os.path.join(out_dir, "network.dot"), "dot")
-    paths = pl.export_matrices(assort, overlap, strength, coreness,
-                               net.entity_labels, net.layer_labels, out_dir)
-    print(f"wrote measures -> {', '.join(sorted(paths.values()))}")
+    if args.command == "ingest":
+        output, info = data, None
+        export_panel(data, os.path.join(out_dir, "panel.csv"))
+    else:
+        output, info = pl.run_stage(args.command, data, config)
+    if info is not None:
+        pl._write_json(info, os.path.join(out_dir, f"{args.command}.json"))
+    if args.command == "build-network":
+        pl.export_network(output, os.path.join(out_dir, "network_full.csv"), "csv")
+    print(f"{args.command} -> {out_dir}")
 
 
 def _cmd_pipeline(args) -> None:
@@ -149,35 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate and canonicalize a panel CSV")
-    p.add_argument("--input", required=True, help="long-format panel CSV")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ingest)
-
-    p = sub.add_parser("fracdiff", help="log-transform and difference a panel")
-    p.add_argument("--panel", required=True, help="panel CSV")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fracdiff)
-
-    p = sub.add_parser("fit", help="fit the tensor autoregression")
-    p.add_argument("--panel", required=True, help="differenced panel CSV")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fit)
-
-    p = sub.add_parser("build-network", help="arrange the coefficient into blocks")
-    p.add_argument("--model", required=True, help="model directory")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_build_network)
-
-    p = sub.add_parser("filter", help="sparsify a network CSV")
-    p.add_argument("--network", required=True, help="network edge CSV")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_filter)
-
-    p = sub.add_parser("measure", help="compute layer matrices and node measures")
-    p.add_argument("--network", required=True, help="filtered network CSV")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_measure)
+    for name, help_cmd, flag, help_input in _STAGED:
+        p = sub.add_parser(name, help=help_cmd)
+        p.add_argument(flag, dest="source", metavar=flag[2:].upper(),
+                       required=True, help=help_input)
+        _add_common(p)
+        p.set_defaults(fn=_cmd_stage, flag=flag)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--input", required=True, help="long-format panel CSV")

@@ -1,14 +1,16 @@
-"""End-to-end orchestration: configuration, staged runs, and exports.
+"""End-to-end orchestration: configuration, the stage table, and exports.
 
-A run goes log-transform -> fractional differencing -> lagged pairs ->
-ridge selection -> ALS fit -> network blocks -> per-block filtering ->
-layer measures, and writes a manifest recording every resolved parameter so
-the run can be reproduced from the manifest alone.  Identical config, panel
-and seed produce byte-identical manifests and export files.
+The stages (log-transform and fractional differencing, ridge selection and
+ALS fit, network blocks, per-block filtering, layer measures) are written
+once, as the rows of :data:`STAGES`.  :func:`run_pipeline` chains them in
+memory and writes a manifest recording every resolved parameter, so the run
+can be reproduced from the manifest alone; each staged CLI command runs one
+row.  Identical config, panel and seed produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -29,6 +31,12 @@ _GRAPHML_SCHEMA = "http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd"
 
 NETWORK_HEADER = ["src_entity", "src_layer", "dst_entity", "dst_layer",
                   "weight", "p_value", "kept"]
+
+# Artifact names under ``out_dir``, keyed as in the manifest's "outputs" map.
+OUTPUTS = {"differenced_panel": "differenced.csv", "model": "model",
+           "network_csv": "network.csv", "network_graphml": "network.graphml",
+           "network_dot": "network.dot", "assortativity": "assortativity.csv",
+           "edge_overlap": "edge_overlap.csv", "node_measures": "node_measures.csv"}
 
 
 class PipelineError(RuntimeError):
@@ -174,6 +182,13 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
+def _csv_field(label: str) -> str:
+    """Quote a label per RFC 4180 so ``csv.reader`` reads it back (csv.writer
+    with a "\n" terminator would leave a lone "\r" unquoted)."""
+    quote = any(c in label for c in ',"\r\n')
+    return '"' + label.replace('"', '""') + '"' if quote else label
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -260,28 +275,35 @@ def fit_model(panel: PanelSeries, config: PipelineConfig):
     return model, info
 
 
-def build_network(coefficient, panel_or_labels) -> MultilayerNetwork:
-    """Arrange a fitted coefficient into an unfiltered multilayer network."""
-    if isinstance(panel_or_labels, PanelSeries):
-        entities, layers = panel_or_labels.entities, panel_or_labels.layers
-    else:
-        entities, layers = panel_or_labels
+def build_network(coefficient, labels) -> MultilayerNetwork:
+    """Arrange a fitted coefficient and its ``(entities, layers)`` labels
+    into an unfiltered multilayer network."""
+    entities, layers = labels
     return multinet.from_coefficient(coefficient, entities, layers)
 
 
 def filter_network(net: MultilayerNetwork, config: PipelineConfig):
-    """Filter every block and report kept counts and thresholds per block."""
+    """Filter every block and report kept counts and thresholds per block.
+
+    A block's threshold is its largest kept p-value (``polya``) or its
+    smallest kept |weight| (``hard``)."""
     filtered = multinet.apply_filter(net, method=config.filter_method,
                                      retain_fraction=config.retain_fraction,
                                      a=config.filter_a)
-    kept_counts = filtered.kept.sum(axis=(2, 3)).astype(int)
+    kept = filtered.kept
+    kept_counts = kept.sum(axis=(2, 3)).astype(int)
+    if config.filter_method == "polya":
+        thresholds = np.where(kept, filtered.p_values, -np.inf).max(axis=(2, 3))
+    else:
+        thresholds = np.where(kept, np.abs(filtered.blocks), np.inf).min(axis=(2, 3))
     info = {
         "method": config.filter_method,
         "a": config.filter_a,
         "retain_fraction": config.retain_fraction,
         "kept_counts": kept_counts.tolist(),
+        "thresholds": thresholds.tolist(),
         "total_kept": int(kept_counts.sum()),
-        "total_edges": int(filtered.kept.size),
+        "total_edges": int(kept.size),
     }
     return filtered, info
 
@@ -306,27 +328,24 @@ def export_network(net: MultilayerNetwork, path, fmt: str = "csv") -> str:
     :func:`import_network`; ``graphml`` and ``dot`` describe the filtered
     graph for external renderers, with node strength/coreness attached.
     """
-    path = str(path)
-    if fmt == "csv":
-        _write_network_csv(net, path)
-    elif fmt == "graphml":
-        _write_graphml(net, path)
-    elif fmt == "dot":
-        _write_dot(net, path)
-    else:
+    writers = {"csv": _write_network_csv, "graphml": _write_graphml,
+               "dot": _write_dot}
+    if fmt not in writers:
         raise ValueError(f"unknown format {fmt!r}")
-    return path
+    writers[fmt](net, str(path))
+    return str(path)
 
 
 def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
     lines = [",".join(NETWORK_HEADER)]
-    for j, src_layer in enumerate(net.layer_labels):
-        for l, dst_layer in enumerate(net.layer_labels):
+    entities = [_csv_field(e) for e in net.entity_labels]
+    for j, src_layer in enumerate(map(_csv_field, net.layer_labels)):
+        for l, dst_layer in enumerate(map(_csv_field, net.layer_labels)):
             block = net.blocks[j, l]
             kept = net.kept[j, l]
             pv = net.p_values[j, l]
-            for i, src in enumerate(net.entity_labels):
-                for k, dst in enumerate(net.entity_labels):
+            for i, src in enumerate(entities):
+                for k, dst in enumerate(entities):
                     lines.append(",".join([
                         src, src_layer, dst, dst_layer,
                         _fmt(block[i, k]), _fmt(pv[i, k]),
@@ -337,31 +356,29 @@ def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
 
 
 def import_network(path) -> MultilayerNetwork:
-    """Rebuild a network from its edge CSV; the grid must be complete."""
+    """Rebuild a network from its edge CSV; the grid must be complete.
+    Labels keep their order of first appearance in the file."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split(",") != NETWORK_HEADER:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != NETWORK_HEADER:
             raise ValueError(f"unexpected network CSV header: {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
                 continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"row {line_no}: expected 7 fields")
-            rows.append(parts)
+            if len(row) != 7:
+                raise ValueError(f"row {row_no}: expected 7 fields")
+            rows.append(row)
     if not rows:
         raise ValueError("network CSV contains no edges")
-    entities = sorted({r[0] for r in rows} | {r[2] for r in rows})
-    layers = sorted({r[1] for r in rows} | {r[3] for r in rows})
+    entities = list(dict.fromkeys(r[k] for r in rows for k in (0, 2)))
+    layers = list(dict.fromkeys(r[k] for r in rows for k in (1, 3)))
     e_idx = {e: i for i, e in enumerate(entities)}
     l_idx = {l: i for i, l in enumerate(layers)}
     shape = (len(layers), len(layers), len(entities), len(entities))
     if len(rows) != int(np.prod(shape)):
-        raise ValueError(
-            f"incomplete edge grid: {len(rows)} rows for shape {shape}"
-        )
+        raise ValueError(f"incomplete edge grid: {len(rows)} rows for shape {shape}")
     blocks = np.zeros(shape)
     kept = np.zeros(shape, dtype=bool)
     pv = np.full(shape, np.nan)
@@ -377,6 +394,14 @@ def import_network(path) -> MultilayerNetwork:
 
 def _node_id(entity: str, layer: str) -> str:
     return f"{entity}|{layer}"
+
+
+def _kept_edges(net: MultilayerNetwork):
+    """``(source id, target id, (j, l, i, k))`` of each kept edge, in the
+    block order of the edge CSV."""
+    ent, lay = net.entity_labels, net.layer_labels
+    for j, l, i, k in zip(*np.nonzero(net.kept)):
+        yield _node_id(ent[i], lay[j]), _node_id(ent[k], lay[l]), (j, l, i, k)
 
 
 def _write_graphml(net: MultilayerNetwork, path: str) -> None:
@@ -416,23 +441,15 @@ def _write_graphml(net: MultilayerNetwork, path: str) -> None:
                 data = ET.SubElement(node, f"{{{GRAPHML_NS}}}data")
                 data.set("key", key_id)
                 data.text = text
-    for j, src_layer in enumerate(net.layer_labels):
-        for l, dst_layer in enumerate(net.layer_labels):
-            kept = net.kept[j, l]
-            for i, src in enumerate(net.entity_labels):
-                for k, dst in enumerate(net.entity_labels):
-                    if not kept[i, k]:
-                        continue
-                    edge = ET.SubElement(graph, f"{{{GRAPHML_NS}}}edge")
-                    edge.set("source", _node_id(src, src_layer))
-                    edge.set("target", _node_id(dst, dst_layer))
-                    for key_id, text in (
-                        ("d_weight", _fmt(net.blocks[j, l, i, k])),
-                        ("d_pvalue", _fmt(net.p_values[j, l, i, k])),
-                    ):
-                        data = ET.SubElement(edge, f"{{{GRAPHML_NS}}}data")
-                        data.set("key", key_id)
-                        data.text = text
+    for src, dst, idx in _kept_edges(net):
+        edge = ET.SubElement(graph, f"{{{GRAPHML_NS}}}edge")
+        edge.set("source", src)
+        edge.set("target", dst)
+        for key_id, text in (("d_weight", _fmt(net.blocks[idx])),
+                             ("d_pvalue", _fmt(net.p_values[idx]))):
+            data = ET.SubElement(edge, f"{{{GRAPHML_NS}}}data")
+            data.set("key", key_id)
+            data.text = text
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
     tree.write(path, encoding="utf-8", xml_declaration=True)
@@ -456,18 +473,9 @@ def _write_dot(net: MultilayerNetwork, path: str) -> None:
                 f"coreness={int(coreness[i, j])}];"
             )
         lines.append("  }")
-    for j, src_layer in enumerate(net.layer_labels):
-        for l, dst_layer in enumerate(net.layer_labels):
-            kept = net.kept[j, l]
-            for i, src in enumerate(net.entity_labels):
-                for k, dst in enumerate(net.entity_labels):
-                    if not kept[i, k]:
-                        continue
-                    lines.append(
-                        f"  {_dot_quote(_node_id(src, src_layer))} -> "
-                        f"{_dot_quote(_node_id(dst, dst_layer))} "
-                        f"[weight={_fmt(net.blocks[j, l, i, k])}];"
-                    )
+    for src, dst, idx in _kept_edges(net):
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} "
+                     f"[weight={_fmt(net.blocks[idx])}];")
     lines.append("}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -477,15 +485,13 @@ def export_matrices(assortativity, overlap, strength, coreness,
                     entity_labels, layer_labels, out_dir) -> dict:
     """Write the two layer matrices and the per-node measure table as CSVs."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "assortativity": os.path.join(out_dir, "assortativity.csv"),
-        "edge_overlap": os.path.join(out_dir, "edge_overlap.csv"),
-        "node_measures": os.path.join(out_dir, "node_measures.csv"),
-    }
+    paths = {key: os.path.join(out_dir, OUTPUTS[key])
+             for key in ("assortativity", "edge_overlap", "node_measures")}
+    layer_labels = [_csv_field(l) for l in layer_labels]
     _write_layer_matrix(assortativity.values, layer_labels, paths["assortativity"])
     _write_layer_matrix(overlap.values, layer_labels, paths["edge_overlap"])
     lines = ["entity,layer,strength,coreness"]
-    for i, entity in enumerate(entity_labels):
+    for i, entity in enumerate(map(_csv_field, entity_labels)):
         for j, layer in enumerate(layer_labels):
             lines.append(
                 f"{entity},{layer},{_fmt(strength[i, j])},{int(coreness[i, j])}"
@@ -496,15 +502,12 @@ def export_matrices(assortativity, overlap, strength, coreness,
 
 
 def _write_layer_matrix(values, layer_labels, path) -> None:
+    """``layer_labels`` arrive quoted for CSV."""
     lines = ["layer," + ",".join(layer_labels)]
     for j, label in enumerate(layer_labels):
         lines.append(label + "," + ",".join(_fmt(v) for v in values[j]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# full run
 
 
 def save_model(model, panel: PanelSeries, info: dict, model_dir) -> None:
@@ -520,11 +523,11 @@ def save_model(model, panel: PanelSeries, info: dict, model_dir) -> None:
 
 
 def load_model_coefficient(model_dir):
-    """Coefficient tensor plus labels, as saved by :func:`save_model`."""
+    """``(coefficient, (entities, layers))`` as saved by :func:`save_model`."""
     coefficient = np.load(os.path.join(model_dir, "coefficient.npy"))
     with open(os.path.join(model_dir, "meta.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
-    return coefficient, meta
+    return coefficient, (meta["entities"], meta["layers"])
 
 
 def _write_json(obj, path) -> None:
@@ -533,41 +536,78 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def run_pipeline(config: PipelineConfig, panel: PanelSeries) -> dict:
-    """Run every stage and write all artifacts under ``config.out_dir``.
+# ---------------------------------------------------------------------------
+# the stage table
 
-    Returns the manifest (also written as ``manifest.json``).  Any stage
-    failure is re-raised as :class:`PipelineError` tagged with the stage.
-    """
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
 
-    def _stage(name, fn, *args):
-        try:
-            return fn(*args)
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(name, str(exc)) from exc
+def _out(config: PipelineConfig, key: str) -> str:
+    return os.path.join(config.out_dir, OUTPUTS[key])
 
-    differenced, frac_info = _stage("fracdiff", prepare_panel, panel, config)
-    export_panel(differenced, os.path.join(out_dir, "differenced.csv"))
 
-    model, fit_info = _stage("fit", fit_model, differenced, config)
-    save_model(model, differenced, fit_info, os.path.join(out_dir, "model"))
+def _fracdiff_row(panel, config):
+    differenced, info = prepare_panel(panel, config)
+    export_panel(differenced, _out(config, "differenced_panel"))
+    return differenced, info
 
-    net = _stage("build-network", build_network,
-                 model.coefficient_tensor(), differenced)
-    filtered, filter_info = _stage("filter", filter_network, net, config)
-    export_network(filtered, os.path.join(out_dir, "network.csv"), "csv")
 
-    assort, overlap, strength, coreness = _stage(
-        "measure", compute_measures, filtered, config)
-    export_network(filtered, os.path.join(out_dir, "network.graphml"), "graphml")
-    export_network(filtered, os.path.join(out_dir, "network.dot"), "dot")
+def _fit_row(panel, config):
+    model, info = fit_model(panel, config)
+    save_model(model, panel, info, _out(config, "model"))
+    return (model.coefficient_tensor(), (panel.entities, panel.layers)), info
+
+
+def _build_network_row(fitted, config):
+    return build_network(*fitted), None
+
+
+def _filter_row(net, config):
+    filtered, info = filter_network(net, config)
+    export_network(filtered, _out(config, "network_csv"), "csv")
+    return filtered, info
+
+
+def _measure_row(net, config):
+    assort, overlap, strength, coreness = compute_measures(net, config)
+    export_network(net, _out(config, "network_graphml"), "graphml")
+    export_network(net, _out(config, "network_dot"), "dot")
     export_matrices(assort, overlap, strength, coreness,
-                    filtered.entity_labels, filtered.layer_labels, out_dir)
+                    net.entity_labels, net.layer_labels, config.out_dir)
+    return net, None
 
+
+# The stage sequence in run order.  A row takes the previous stage's output
+# and the config, writes the stage's artifacts to out_dir and returns
+# ``(output, info)``, info None if the stage records nothing.  Rows look the
+# stage functions up as module globals when they run, so a patch applies to
+# run_pipeline and the CLI alike.
+STAGES = {
+    "fracdiff": _fracdiff_row,
+    "fit": _fit_row,
+    "build-network": _build_network_row,
+    "filter": _filter_row,
+    "measure": _measure_row,
+}
+
+
+def run_stage(name: str, data, config: PipelineConfig):
+    """Run row ``name`` of :data:`STAGES` on ``data``; returns its
+    ``(output, info)`` and re-raises any failure as a ``name``-tagged
+    :class:`PipelineError`."""
+    try:
+        return STAGES[name](data, config)
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
+
+
+def run_pipeline(config: PipelineConfig, panel: PanelSeries) -> dict:
+    """Run every row of :data:`STAGES`, writing all artifacts under
+    ``config.out_dir``; returns the manifest (also ``manifest.json``).
+    Any stage failure is re-raised as a stage-tagged :class:`PipelineError`.
+    """
+    os.makedirs(config.out_dir, exist_ok=True)
+    data, info = panel, {}
+    for name in STAGES:
+        data, info[name] = run_stage(name, data, config)
     manifest = {
         "config": config.resolved(),
         "panel": {
@@ -579,20 +619,11 @@ def run_pipeline(config: PipelineConfig, panel: PanelSeries) -> dict:
             "entities": list(panel.entities),
             "layers": list(panel.layers),
         },
-        "fracdiff": frac_info,
-        "fit": fit_info,
-        "filter": filter_info,
+        "fracdiff": info["fracdiff"],
+        "fit": info["fit"],
+        "filter": info["filter"],
         "measures": {"overlap_normalized": config.overlap_normalized},
-        "outputs": {
-            "differenced_panel": "differenced.csv",
-            "model": "model",
-            "network_csv": "network.csv",
-            "network_graphml": "network.graphml",
-            "network_dot": "network.dot",
-            "assortativity": "assortativity.csv",
-            "edge_overlap": "edge_overlap.csv",
-            "node_measures": "node_measures.csv",
-        },
+        "outputs": dict(OUTPUTS),
     }
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    _write_json(manifest, os.path.join(config.out_dir, "manifest.json"))
     return manifest

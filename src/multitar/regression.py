@@ -132,6 +132,14 @@ def resolve_ranks(ranks, dims) -> tuple:
     for r, d in zip(ranks, dims):
         if not 1 <= r <= d:
             raise ValueError(f"rank {r} outside [1, {d}]")
+    # Below full rank, a mode whose rank exceeds the product of the others has
+    # singular factor normal equations, and the objective trace can rise.
+    if ranks != dims:
+        for mode, r in enumerate(ranks):
+            rest = math.prod(ranks) // r
+            if r > rest:
+                raise ValueError(f"rank {r} of mode {mode} exceeds the product "
+                                 f"{rest} of the other ranks")
     return ranks
 
 

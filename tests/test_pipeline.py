@@ -1,14 +1,23 @@
 """Configuration, staged pipeline runs, exports, and the CLI surface."""
 
+import csv
 import json
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multitar.cli import main
 from multitar.multinet import apply_filter, from_coefficient
+from multitar.netfilter import (
+    WeightedDigraph,
+    hard_threshold_filter,
+    polya_filter,
+)
 from multitar.panel import export_panel, ingest_csv
 from multitar.pipeline import (
     GRAPHML_NS,
@@ -16,6 +25,7 @@ from multitar.pipeline import (
     PipelineError,
     export_matrices,
     export_network,
+    filter_network,
     import_network,
     run_pipeline,
 )
@@ -24,6 +34,12 @@ from multitar import pipeline as pipeline_module
 from multitar.panel import PanelSeries
 from multitar.pipeline import compute_measures, fit_model
 from multitar.synthetic import generate_tar_panel
+
+
+# Labels are read from and written to UTF-8 files, so a legal label is any
+# text UTF-8 can encode (no lone surrogates); NUL is left out because the
+# csv reader of Python 3.10 rejects it.
+_LABEL_CHARS = st.characters(codec="utf-8", exclude_characters="\x00")
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +210,29 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=r"\[fit\].*lambda_grid"):
             run_pipeline(cfg, panel)
 
+    def test_degenerate_ranks_fail_fit_stage(self, small_panel, tmp_path):
+        # dims (5, 2, 5, 2): rank 4 of mode 0 exceeds 1 * 2 * 1
+        panel, _ = small_panel
+        cfg = PipelineConfig(alpha=0.3, ranks=(4, 1, 2, 1), lambda_grid=(1.0,),
+                             out_dir=str(tmp_path / "x"))
+        with pytest.raises(PipelineError, match=r"\[fit\].*mode 0"):
+            run_pipeline(cfg, panel)
+
+    @pytest.mark.parametrize("method", ["polya", "hard"])
+    def test_thresholds_are_the_per_block_filter_thresholds(self, method):
+        rng = np.random.default_rng(8)
+        net = from_coefficient(rng.standard_normal((7, 3, 7, 3)),
+                               [f"E{i}" for i in range(7)], ["x", "y", "z"])
+        cfg = PipelineConfig(filter_method=method, retain_fraction=0.2)
+        _, info = filter_network(net, cfg)
+        for j in range(3):
+            for l in range(3):
+                g = WeightedDigraph.from_dense(net.blocks[j, l])
+                res = (polya_filter(g, cfg.filter_a, cfg.retain_fraction)
+                       if method == "polya"
+                       else hard_threshold_filter(g, cfg.retain_fraction))
+                assert info["thresholds"][j][l] == res.threshold_used
+
     def test_burn_in_drop(self, small_panel, tmp_path):
         panel, _ = small_panel
         cfg = PipelineConfig(alpha=0.3, lambda_grid=(1.0,), drop_burn_in=True,
@@ -221,6 +260,56 @@ class TestExports:
             np.nan_to_num(back.p_values, nan=-1.0),
             np.nan_to_num(net.p_values, nan=-1.0),
         )
+
+    def test_unsorted_labels_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        net = apply_filter(from_coefficient(rng.standard_normal((3, 2, 3, 2)),
+                                            ["c", "a", "b"], ["y", "x"]),
+                           retain_fraction=0.3)
+        export_network(net, tmp_path / "net.csv", "csv")
+        back = import_network(tmp_path / "net.csv")
+        assert back.entity_labels == ("c", "a", "b")
+        assert back.layer_labels == ("y", "x")
+        np.testing.assert_array_equal(back.blocks, net.blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entities=st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6),
+                          min_size=1, max_size=3, unique=True),
+        layers=st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6),
+                        min_size=1, max_size=3, unique=True),
+    )
+    @example(entities=["a,1", "b"], layers=['x"', "y\r\nz"])
+    @example(entities=["lone\rcr"], layers=[" ,", "\n"])
+    def test_csv_exports_round_trip_any_label(self, entities, layers):
+        rng = np.random.default_rng(len(entities) * 10 + len(layers))
+        n_e, n_l = len(entities), len(layers)
+        net = apply_filter(from_coefficient(
+            rng.standard_normal((n_e, n_l, n_e, n_l)), entities, layers),
+            retain_fraction=0.3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "network.csv")
+            export_network(net, path, "csv")
+            back = import_network(path)
+            assert back.entity_labels == net.entity_labels
+            assert back.layer_labels == net.layer_labels
+            np.testing.assert_array_equal(back.blocks, net.blocks)
+            np.testing.assert_array_equal(back.kept, net.kept)
+            np.testing.assert_array_equal(back.p_values, net.p_values)
+
+            paths = export_matrices(*compute_measures(net, PipelineConfig()),
+                                    entities, layers, tmp)
+            for key in ("assortativity", "edge_overlap"):
+                with open(paths[key], encoding="utf-8", newline="") as fh:
+                    rows = list(csv.reader(fh))
+                assert rows[0] == ["layer", *layers]
+                assert [r[0] for r in rows[1:]] == layers
+                assert all(len(r) == n_l + 1 for r in rows)
+            with open(paths["node_measures"], encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert [r[:2] for r in rows[1:]] == [[e, l] for e in entities
+                                                 for l in layers]
+            assert all(len(r) == 4 for r in rows)
 
     def test_single_edge_csv(self, tmp_path):
         net = from_coefficient(np.full((1, 1, 1, 1), 2.0), ["A"], ["x"])
@@ -318,6 +407,57 @@ class TestStageIsolation:
                      "edge_overlap.csv", "node_measures.csv",
                      "network.graphml", "network.dot"):
             assert (staged / name).read_bytes() == (full / name).read_bytes()
+
+
+def _run_staged(raw, out, conf):
+    for argv in (
+        ["ingest", "--input", str(raw)],
+        ["fracdiff", "--panel", f"{out}/panel.csv"],
+        ["fit", "--panel", f"{out}/differenced.csv"],
+        ["build-network", "--model", f"{out}/model"],
+        ["filter", "--network", f"{out}/network_full.csv"],
+        ["measure", "--network", f"{out}/network.csv"],
+    ):
+        assert main(argv + ["--config", str(conf), "--out", str(out)]) == 0
+
+
+class TestStageTable:
+    CONF = "alpha = 0.3\nlambda_grid = 0, 5\nretain_fraction = 0.2\nseed = 3\n"
+
+    def _inputs(self, small_panel, tmp_path):
+        raw, conf = tmp_path / "raw.csv", tmp_path / "run.conf"
+        export_panel(small_panel[0], raw)
+        conf.write_text(self.CONF, encoding="utf-8")
+        cfg = PipelineConfig(alpha=0.3, lambda_grid=(0.0, 5.0),
+                             retain_fraction=0.2, out_dir=str(tmp_path / "full"),
+                             seed=3)
+        return raw, conf, cfg
+
+    def test_stage_json_equals_manifest_sections(self, small_panel, tmp_path):
+        raw, conf, cfg = self._inputs(small_panel, tmp_path)
+        _run_staged(raw, tmp_path / "staged", conf)
+        manifest = run_pipeline(cfg, small_panel[0])
+        for stage in ("fracdiff", "fit", "filter"):
+            path = tmp_path / "staged" / f"{stage}.json"
+            assert json.loads(path.read_text(encoding="utf-8")) == manifest[stage]
+
+    def test_both_paths_call_filter_network_once(self, small_panel, tmp_path,
+                                                 monkeypatch):
+        # a patched module attribute must reach both paths; the benchmark
+        # captures the filtered network this way
+        raw, conf, cfg = self._inputs(small_panel, tmp_path)
+        calls = []
+        real = pipeline_module.filter_network
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "filter_network", counting)
+        run_pipeline(cfg, small_panel[0])
+        assert len(calls) == 1
+        _run_staged(raw, tmp_path / "staged", conf)
+        assert len(calls) == 2
 
 
 class TestCli:

@@ -269,6 +269,16 @@ class TestAlsFit:
         with pytest.raises(ValueError):
             resolve_ranks("max", (3, 4))
 
+    def test_resolve_ranks_rejects_degenerate_tucker_ranks(self):
+        # rank 3 of mode 0 exceeds the other mode's rank 2
+        with pytest.raises(ValueError, match="mode 0"):
+            resolve_ranks((3, 2), (3, 3))
+        assert resolve_ranks((2, 2, 2, 2), (5, 2, 5, 2)) == (2, 2, 2, 2)
+
+    def test_resolve_ranks_allows_full_rank_beyond_the_rule(self):
+        assert resolve_ranks((1, 3), (1, 3)) == (1, 3)
+        assert resolve_ranks("full", (1, 3)) == (1, 3)
+
 
 class TestPredict:
     def test_zero_coefficient_predicts_intercept(self):
