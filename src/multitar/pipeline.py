@@ -393,7 +393,10 @@ def import_network(path) -> MultilayerNetwork:
 
 
 def _node_id(entity: str, layer: str) -> str:
-    return f"{entity}|{layer}"
+    """``entity|layer`` with ``\\`` and ``|`` backslash-escaped in each label,
+    so that no two (entity, layer) pairs share an id."""
+    return "|".join(s.replace("\\", "\\\\").replace("|", "\\|")
+                    for s in (entity, layer))
 
 
 def _kept_edges(net: MultilayerNetwork):
@@ -450,9 +453,12 @@ def _write_graphml(net: MultilayerNetwork, path: str) -> None:
             data = ET.SubElement(edge, f"{{{GRAPHML_NS}}}data")
             data.set("key", key_id)
             data.text = text
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    ET.indent(root, space="  ")
+    # ElementTree leaves a carriage return in element text raw, and XML
+    # parsers read a raw one back as a newline; a character reference survives
+    with open(path, "wb") as fh:
+        fh.write(ET.tostring(root, encoding="utf-8", xml_declaration=True)
+                 .replace(b"\r", b"&#13;"))
 
 
 def _dot_quote(s: str) -> str:

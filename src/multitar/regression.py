@@ -7,16 +7,22 @@ Fitting minimizes ``||Y - A - <X, B>||_F^2 + ridge * ||B||_F^2``; the
 intercept is handled by mean-centering, and the penalty acts on the
 reconstructed ``B``, not on the individual Tucker blocks.
 
-Each ALS sweep updates the core and then every factor matrix in mode order.
-Every update is the exact minimizer of the penalized objective in that block
-with the others held fixed, so the objective trace is non-increasing.
-Sweeps run on ``[R_x | R_y]``, the R factor of the centered ``[Xc | Yc]``
+Fits run on ``[R_x | R_y]``, the R factor of the centered ``[Xc | Yc]``
 (at most ``p + q`` rows): it has the same Gram matrices and the same residual
-norms ``||R_y - R_x B|| = ||Yc - Xc B||``, so a sweep's cost does not grow with T.
+norms ``||R_y - R_x B|| = ||Yc - Xc B||``, so no fit step grows with T.
+At full Tucker rank the model is the unstructured ridge VAR on the
+unfoldings, and the fit is one ridge solve ``(R_x'R_x + ridge I)^-1 R_x'R_y``
+with identity factors.  Below full rank that solve seeds each factor with the
+leading singular vectors of its unfolding, and each ALS sweep then updates the
+core and every factor in mode order.  Every update is the exact minimizer of
+the penalized objective in that block with the others held fixed, so the
+objective trace is non-increasing.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -24,14 +30,14 @@ import numpy as np
 import scipy.linalg
 
 from .tensor_ops import (
-    ModePairing,
     TuckerFactors,
     as_tensor,
-    contract,
     mode_multiply,
     tucker_reconstruct,
     unfold,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -187,82 +193,71 @@ def closed_form_fit(x, y, ridge: float) -> np.ndarray:
     """Full-rank ridge solution on the sample-mode unfoldings.
 
     Returns ``(Xc' Xc + ridge I)^-1 Xc' Yc`` where ``Xc, Yc`` are the
-    mean-centered unfoldings; with full Tucker ranks the ALS fit converges to
-    this matrix, which makes it the reference for equivalence checks.
+    mean-centered unfoldings.  At full Tucker rank :func:`als_fit` returns
+    this matrix, solved from the R factor instead of the raw samples, which
+    makes it the reference for equivalence checks.
     """
     x, y = _check_pair(x, y)
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
     xu = x.reshape(x.shape[0], -1)
     yu = y.reshape(y.shape[0], -1)
-    xc = xu - xu.mean(axis=0)
-    yc = yu - yu.mean(axis=0)
+    return _ridge_solve(xu - xu.mean(axis=0), yu - yu.mean(axis=0), ridge,
+                        "closed_form_fit")
+
+
+def _ridge_solve(xc, yc, ridge, context):
+    """``(xc' xc + ridge I)^-1 xc' yc`` for the matrices ``xc`` and ``yc``."""
     gram = xc.T @ xc
     if ridge > 0.0:
         gram = gram + ridge * np.eye(gram.shape[0])
-    return _solve_spd(gram, xc.T @ yc, "closed_form_fit", ridge)
-
-
-def _gram_chain(core, factors, skip):
-    """Core multiplied by every factor Gram except ``skip`` along its mode."""
-    out = core
-    for d, u in enumerate(factors):
-        if d != skip:
-            out = mode_multiply(out, u.T @ u, d)
-    return out
+    return _solve_spd(gram, xc.T @ yc, context, ridge)
 
 
 def _penalty_gram(core, factors, d):
     """R_d x R_d matrix M with ||B||_F^2 = tr(U_d M U_d') for factor d."""
-    chained = _gram_chain(core, factors, skip=d)
+    chained = core
+    for k, u in enumerate(factors):
+        if k != d:
+            chained = mode_multiply(chained, u.T @ u, k)
     return unfold(chained, d) @ unfold(core, d).T
 
 
-def _tucker_norm_sq(core, factors):
-    chained = _gram_chain(core, factors, skip=-1)
-    return float(np.tensordot(chained, core, axes=core.ndim))
+def _kron_gram(factors):
+    """Kronecker product of the factor Grams ``U'U``, in mode order."""
+    return functools.reduce(np.kron, [u.T @ u for u in factors], np.eye(1))
 
 
 def _apply_regressor_factors(xc, factors, n_reg, skip=-1):
     """Contract each regressor mode of xc with its factor (transposed)."""
     out = xc
     for k in range(n_reg):
-        if k == skip:
-            continue
-        out = mode_multiply(out, factors[k].T, k + 1)
+        if k != skip:
+            out = mode_multiply(out, factors[k].T, k + 1)
     return out
 
 
 def _apply_response_factors(core, factors, n_reg, skip=-1):
     out = core
     for d in range(n_reg, core.ndim):
-        if d == skip:
-            continue
-        out = mode_multiply(out, factors[d], d)
+        if d != skip:
+            out = mode_multiply(out, factors[d], d)
     return out
 
 
 def _update_core(xc, yc, core_shape, factors, n_reg, ridge):
     n = xc.shape[0]
-    r_left = int(np.prod(core_shape[:n_reg]))
-    r_right = int(np.prod(core_shape[n_reg:]))
-    z = _apply_regressor_factors(xc, factors, n_reg).reshape(n, r_left)
+    z = _apply_regressor_factors(xc, factors, n_reg).reshape(n, -1)
     y_t = yc
     for d in range(n_reg, len(core_shape)):
         y_t = mode_multiply(y_t, factors[d].T, d - n_reg + 1)
-    y_t = y_t.reshape(n, r_right)
+    y_t = y_t.reshape(n, -1)
 
     lhs = z.T @ z
     if ridge > 0.0:
-        m_left = np.eye(1)
-        for k in range(n_reg):
-            m_left = np.kron(m_left, factors[k].T @ factors[k])
-        lhs = lhs + ridge * m_left
+        lhs = lhs + ridge * _kron_gram(factors[:n_reg])
     gu = _solve_spd(lhs, z.T @ y_t, "core update", ridge)
-    m_right = np.eye(1)
-    for d in range(n_reg, len(core_shape)):
-        m_right = np.kron(m_right, factors[d].T @ factors[d])
-    gu = _solve_spd(m_right, gu.T, "core update", ridge).T
+    gu = _solve_spd(_kron_gram(factors[n_reg:]), gu.T, "core update", ridge).T
     return gu.reshape(core_shape)
 
 
@@ -306,28 +301,52 @@ def _update_response_factor(xc, yc, core, factors, d, ridge):
     return sol.T.copy()
 
 
-def _init_factors(x, y, ranks, ridge, seed):
-    dims = x.shape[1:] + y.shape[1:]
-    rng = np.random.default_rng(seed)
-    try:
-        b0 = closed_form_fit(x, y, ridge).reshape(dims)
-    except SingularSystemError:
-        b0 = None
-    factors = []
-    for d, (extent, rank) in enumerate(zip(dims, ranks)):
-        if b0 is not None:
-            b0_d = unfold(b0, d)  # full basis if rank exceeds the other modes' size
-            u = np.linalg.svd(b0_d, full_matrices=b0_d.shape[1] < rank)[0]
-            factors.append(np.ascontiguousarray(u[:, :rank]))
-        else:
-            gauss = rng.standard_normal((extent, rank))
-            qmat, _ = np.linalg.qr(gauss)
-            factors.append(qmat)
-    return factors
+def _init_factors(b_full, dims, ranks, seed):
+    """Leading left singular vectors of each unfolding of the full-rank fit,
+    or random orthonormal factors when that fit is singular (``None``)."""
+    if b_full is None:
+        rng = np.random.default_rng(seed)
+        return [np.linalg.qr(rng.standard_normal((d, r)))[0]
+                for d, r in zip(dims, ranks)]
+    return [np.ascontiguousarray(
+                np.linalg.svd(unfold(b_full, d), full_matrices=False)[0][:, :r])
+            for d, r in enumerate(ranks)]
+
+
+def _objective(r_x, r_y, b, ridge):
+    resid = r_y - r_x @ b.reshape(r_x.shape[1], -1)
+    return float(np.sum(resid * resid)) + ridge * float(np.sum(b * b))
+
+
+def _als_sweeps(xc, yc, ranks, factors, ridge, config):
+    """ALS from ``factors`` (updated in place); ``(core, B, trace, converged)``."""
+    n_reg = xc.ndim - 1
+    r_x = xc.reshape(xc.shape[0], -1)
+    r_y = yc.reshape(yc.shape[0], -1)
+    floor = 1e-12 * (float(np.sum(r_y * r_y)) + 1e-300)
+    trace = []
+    for sweep in range(config.max_sweeps):
+        core = _update_core(xc, yc, ranks, factors, n_reg, ridge)
+        for d in range(len(ranks)):
+            if d < n_reg:
+                factors[d] = _update_regressor_factor(xc, yc, core, factors, d, ridge)
+            else:
+                factors[d] = _update_response_factor(xc, yc, core, factors, d, ridge)
+        b = tucker_reconstruct(TuckerFactors(core, tuple(factors)))
+        obj = _objective(r_x, r_y, b, ridge)
+        if not math.isfinite(obj):
+            raise SingularSystemError(
+                "ALS objective diverged; the problem is ill-posed, raise lambda"
+            )
+        trace.append(obj)
+        scale = max(abs(trace[-2]), floor) if sweep else None
+        if sweep and abs(trace[-2] - obj) <= config.rel_tol * scale:
+            return core, b, trace, True
+    return core, b, trace, False
 
 
 def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
-    """Fit the penalized Tucker autoregression by alternating least squares.
+    """Fit the penalized Tucker autoregression; full rank is one ridge solve.
 
     Parameters
     ----------
@@ -358,54 +377,29 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
     xc = r_x.reshape((-1,) + x.shape[1:])
     yc = r_y.reshape((-1,) + y.shape[1:])
 
-    factors = _init_factors(x, y, ranks, ridge, config.seed)
-    core = np.zeros(ranks)
-    y_scale = float(np.sum(r_y * r_y)) + 1e-300
-    # at full rank the factors are invertible, so the core update alone
-    # already solves the whole ridge problem and factor sweeps are redundant
-    # reparameterizations
+    # at full rank the Tucker model is the unstructured ridge VAR, so this
+    # solve is the fit; below full rank it seeds the factors
     full_rank = ranks == dims
+    try:
+        b = _ridge_solve(r_x, r_y, ridge, "ridge solve").reshape(dims)
+    except SingularSystemError:
+        if full_rank:
+            raise
+        b = None
 
-    trace = []
-    converged = False
-    for sweep in range(config.max_sweeps):
-        core = _update_core(xc, yc, ranks, factors, n_reg, ridge)
-        for d in () if full_rank else range(len(dims)):
-            if d < n_reg:
-                factors[d] = _update_regressor_factor(xc, yc, core, factors, d, ridge)
-            else:
-                factors[d] = _update_response_factor(xc, yc, core, factors, d, ridge)
-        b = tucker_reconstruct(TuckerFactors(core, tuple(factors)))
-        resid = r_y - r_x @ b.reshape(p, -1)
-        obj = float(np.sum(resid * resid)) + ridge * float(np.sum(b * b))
-        if not math.isfinite(obj):
-            raise SingularSystemError(
-                "ALS objective diverged; the problem is ill-posed, raise lambda"
-            )
-        trace.append(obj)
-        scale = max(abs(trace[-2]), 1e-12 * y_scale) if sweep > 0 else None
-        if sweep > 0 and abs(trace[-2] - obj) <= config.rel_tol * scale:
-            converged = True
-            break
+    if full_rank:
+        core, factors = b, [np.eye(d) for d in dims]
+        trace, converged = [_objective(r_x, r_y, b, ridge)], True
+    else:
+        factors = _init_factors(b, dims, ranks, config.seed)
+        core, b, trace, converged = _als_sweeps(xc, yc, ranks, factors, ridge, config)
 
+    intercept = y_mean[None] - np.tensordot(x_mean[None], b, axes=n_reg)
     coefficient = TuckerFactors(core, tuple(factors))
-    pairing = ModePairing(tuple(range(1, n_reg + 1)), tuple(range(n_reg)))
-    intercept = y_mean[None] - contract(
-        x_mean[None], tucker_reconstruct(coefficient), pairing
-    )
-    model = TarModel(
-        intercept=intercept,
-        coefficient=coefficient,
-        ridge=float(ridge),
-        ranks=ranks,
-        x_mean=x_mean,
-        y_mean=y_mean,
-    )
-    report = FitReport(
-        objective_trace=tuple(trace),
-        converged=converged,
-        n_sweeps=len(trace),
-    )
+    model = TarModel(intercept=intercept, coefficient=coefficient, ridge=float(ridge),
+                     ranks=ranks, x_mean=x_mean, y_mean=y_mean)
+    report = FitReport(objective_trace=tuple(trace), converged=converged,
+                       n_sweeps=len(trace))
     return model, report
 
 
@@ -418,8 +412,7 @@ def predict(model: TarModel, x) -> np.ndarray:
             f"regressor dims {x.shape[1:]} do not match model dims "
             f"{model.x_mean.shape}"
         )
-    pairing = ModePairing(tuple(range(1, n_reg + 1)), tuple(range(n_reg)))
-    return model.intercept + contract(x, model.coefficient_tensor(), pairing)
+    return model.intercept + np.tensordot(x, model.coefficient_tensor(), axes=n_reg)
 
 
 def predicted_r2(model: TarModel, x_test, y_test) -> float:
@@ -462,6 +455,10 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
         model, report = als_fit(x_tr, y_tr, ranks, lam, config)
         table[lam] = predicted_r2(model, x_te, y_te)
         fits[lam] = model, replace(report, predicted_r2=table[lam])
+    unconverged = [lam for lam, (_, report) in fits.items() if not report.converged]
+    if unconverged:
+        logger.warning("ALS stopped at max_sweeps=%d without converging for "
+                       "lambda %s", config.max_sweeps, unconverged)
     scored = [lam for lam, r2 in table.items() if not math.isnan(r2)]
     if not scored:
         raise ValueError(f"predicted R2 is NaN for every lambda in lambda_grid "

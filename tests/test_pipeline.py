@@ -40,6 +40,12 @@ from multitar.synthetic import generate_tar_panel
 # text UTF-8 can encode (no lone surrogates); NUL is left out because the
 # csv reader of Python 3.10 rejects it.
 _LABEL_CHARS = st.characters(codec="utf-8", exclude_characters="\x00")
+# XML 1.0 has no way to carry the other C0 controls except tab, LF and CR,
+# nor U+FFFE and U+FFFF
+_XML_LABEL_CHARS = st.characters(
+    codec="utf-8",
+    exclude_characters="".join(chr(c) for c in range(32) if chr(c) not in "\t\n\r")
+    + "\ufffe\uffff")
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +343,50 @@ class TestExports:
             assert e.get("target") in node_ids
         declared = {k.get("attr.name") for k in root.findall(f"{{{GRAPHML_NS}}}key")}
         assert {"layer", "strength", "coreness", "weight"} <= declared
+
+    @staticmethod
+    def _graphml_nodes(path):
+        graph = ET.parse(path).getroot().find(f"{{{GRAPHML_NS}}}graph")
+        return [(n.get("id"), {d.get("key"): d.text
+                               for d in n.findall(f"{{{GRAPHML_NS}}}data")})
+                for n in graph.findall(f"{{{GRAPHML_NS}}}node")]
+
+    def test_separator_in_labels_gives_distinct_node_ids(self, tmp_path):
+        # unescaped, entity "a|b" in layer "c" and entity "a" in layer "b|c"
+        # were both "a|b|c"
+        net = from_coefficient(np.ones((2, 2, 2, 2)), ["a|b", "a"], ["c", "b|c"])
+        export_network(net, tmp_path / "net.graphml", "graphml")
+        ids = [i for i, _ in self._graphml_nodes(tmp_path / "net.graphml")]
+        assert ids == ["a\\|b|c", "a\\|b|b\\|c", "a|c", "a|b\\|c"]
+        export_network(net, tmp_path / "net.dot", "dot")
+        dot_ids = [line.split('" [')[0].strip()
+                   for line in (tmp_path / "net.dot").read_text().splitlines()
+                   if "[strength=" in line]
+        assert len(set(dot_ids)) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entities=st.lists(st.text(_XML_LABEL_CHARS, min_size=1, max_size=6),
+                          min_size=1, max_size=3, unique=True),
+        layers=st.lists(st.text(_XML_LABEL_CHARS, min_size=1, max_size=6),
+                        min_size=1, max_size=3, unique=True),
+    )
+    @example(entities=["a|b", "a", "a\\"], layers=["c", "b|c", "\\|"])
+    @example(entities=["lone\rcr", " "], layers=["y\r\nz", "<&>"])
+    def test_graphml_node_ids_unique_and_labels_read_back(self, entities, layers):
+        rng = np.random.default_rng(len(entities) * 10 + len(layers))
+        n_e, n_l = len(entities), len(layers)
+        net = apply_filter(from_coefficient(
+            rng.standard_normal((n_e, n_l, n_e, n_l)), entities, layers),
+            retain_fraction=0.3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "network.graphml")
+            export_network(net, path, "graphml")
+            nodes = self._graphml_nodes(path)
+        ids = [i for i, _ in nodes]
+        assert len(set(ids)) == len(ids) == n_e * n_l
+        assert [(d["d_entity"], d["d_layer"]) for _, d in nodes] == [
+            (e, l) for e in entities for l in layers]
 
     def test_dot_has_one_subgraph_per_layer(self, tmp_path):
         net = self._filtered()

@@ -1,5 +1,6 @@
 """ALS fits checked against the closed-form ridge oracle and simulations."""
 
+import logging
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from multitar.regression import (
     als_fit,
     build_lagged_pairs,
     closed_form_fit,
+    fit_lambda_grid,
     predict,
     predicted_r2,
     resolve_ranks,
@@ -25,6 +27,15 @@ from multitar.tensor_ops import TuckerFactors, tucker_reconstruct
 
 def is_non_increasing(trace, slack=1e-9):
     return all(b <= a * (1.0 + slack) + 1e-300 for a, b in zip(trace, trace[1:]))
+
+
+def raw_objective(x, y, model, ridge):
+    """||Yc - Xc B||^2 + ridge ||B||^2 on the raw, mean-centred samples."""
+    n = x.shape[0]
+    b = model.coefficient_tensor().reshape(x[0].size, y[0].size)
+    xc = (x - x.mean(axis=0)).reshape(n, -1)
+    yc = (y - y.mean(axis=0)).reshape(n, -1)
+    return np.sum((yc - xc @ b) ** 2) + ridge * np.sum(b * b)
 
 
 class TestLaggedPairs:
@@ -198,6 +209,35 @@ class TestAlsFit:
         model, _ = als_fit(x, y, "full", 1.0, FitConfig(seed=41))
         np.testing.assert_allclose(model.coefficient_tensor(),
                                    closed_form_fit(x, y, 1.0), rtol=1e-10)
+
+    def test_full_rank_is_one_direct_ridge_solve(self):
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((50, 4, 2))
+        y = rng.standard_normal((50, 3, 2))
+        ridge = 2.5
+        model, report = als_fit(x, y, "full", ridge, FitConfig(seed=1))
+        assert report.n_sweeps == 1 and report.converged
+        assert len(report.objective_trace) == 1
+        assert report.objective_trace[0] == pytest.approx(
+            raw_objective(x, y, model, ridge), rel=1e-9)
+        # the seed only drives a random init, which full rank never uses
+        other, _ = als_fit(x, y, "full", ridge, FitConfig(seed=2))
+        assert (other.coefficient_tensor().tobytes()
+                == model.coefficient_tensor().tobytes())
+
+    def test_reduced_rank_underdetermined_at_zero_ridge_uses_random_init(self):
+        # n < p leaves no full-rank seed at lambda = 0, but the Tucker blocks
+        # are small enough to be determined
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((10, 4, 3))
+        y = rng.standard_normal((10, 2, 2))
+        with pytest.raises(SingularSystemError):
+            closed_form_fit(x, y, 0.0)
+        model, report = als_fit(x, y, (2, 1, 2, 1), 0.0, FitConfig(seed=45))
+        assert report.converged
+        assert is_non_increasing(report.objective_trace)
+        assert report.objective_trace[-1] == pytest.approx(
+            raw_objective(x, y, model, 0.0), rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -434,6 +474,18 @@ class TestSelectLambda:
         panel[-5:] *= 1e160
         with pytest.raises(ValueError, match=r"lambda_grid \[0\.0, 5\.0\]"):
             select_lambda(panel, "full", FitConfig(lambda_grid=(0.0, 5.0)))
+
+    def test_unconverged_fits_are_logged_once(self, caplog):
+        panel = np.random.default_rng(24).standard_normal((80, 3, 2))
+        config = FitConfig(max_sweeps=1, lambda_grid=(0.0, 1.0), seed=24)
+        with caplog.at_level(logging.WARNING, logger="multitar.regression"):
+            fit_lambda_grid(panel, (2, 2, 2, 2), config)
+        assert len(caplog.records) == 1
+        assert "max_sweeps=1" in caplog.text and "[0.0, 1.0]" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="multitar.regression"):
+            fit_lambda_grid(panel, "full", config)
+        assert caplog.records == []
 
 
 def test_fit_config_validation():
