@@ -22,15 +22,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-_QUAD_ORDER = 128
-_quad_cache: dict = {}
-
-
-def _quad_nodes(order: int = _QUAD_ORDER):
-    if order not in _quad_cache:
-        x, w = leggauss(order)
-        _quad_cache[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _quad_cache[order]
+# 128-point Gauss-Legendre rule on [0, 1] for the mixture over urn shares
+_QUAD_NODES, _QUAD_WEIGHTS = leggauss(128)
+_QUAD_NODES, _QUAD_WEIGHTS = 0.5 * (_QUAD_NODES + 1.0), 0.5 * _QUAD_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ class FilterResult:
     method: str
 
 
-def _survival(w, s, k, a, order: int = _QUAD_ORDER) -> np.ndarray:
+def _survival(w, s, k, a) -> np.ndarray:
     """Vectorized urn survival probability P(W >= w | s, k, a)."""
     w, s, k = np.broadcast_arrays(
         np.asarray(w, dtype=np.float64),
@@ -107,10 +101,9 @@ def _survival(w, s, k, a, order: int = _QUAD_ORDER) -> np.ndarray:
     if a == 0.0:
         out[active] = special.betainc(wa, sa - wa + 1.0, 1.0 / ka)
         return out
-    nodes, quad_w = _quad_nodes(order)
-    shares = special.betaincinv(1.0 / a, (ka[:, None] - 1.0) / a, nodes[None, :])
+    shares = special.betaincinv(1.0 / a, (ka[:, None] - 1.0) / a, _QUAD_NODES)
     tails = special.betainc(wa[:, None], sa[:, None] - wa[:, None] + 1.0, shares)
-    out[active] = np.clip(tails @ quad_w, 0.0, 1.0)
+    out[active] = np.clip(tails @ _QUAD_WEIGHTS, 0.0, 1.0)
     return out
 
 

@@ -8,6 +8,7 @@ lexicographically so identical data always yields an identical cube.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -16,6 +17,15 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ["date", "entity", "layer", "value"]
+
+
+def csv_field(label: str) -> str:
+    """Quote a CSV field as the excel dialect does (RFC 4180): in double
+    quotes, with inner quotes doubled, when it holds a comma, a quote, CR or
+    LF.  Every CSV writer of the package quotes through this rule instead of
+    ``csv.writer``, whose quoting follows its line terminator."""
+    quote = any(c in label for c in ',"\r\n')
+    return '"' + label.replace('"', '""') + '"' if quote else label
 
 
 @dataclass(frozen=True)
@@ -115,12 +125,12 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
 
 
 def export_panel(panel: PanelSeries, path) -> None:
-    """Write the canonical long-format CSV (sorted keys, repr floats)."""
+    """Write the canonical long-format CSV (sorted keys, repr floats, CRLF),
+    one date at a time."""
+    cells = [f"{entity},{layer}," for entity, layer in itertools.product(
+        map(csv_field, panel.entities), map(csv_field, panel.layers))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for t, date in enumerate(panel.dates):
-            for i, entity in enumerate(panel.entities):
-                for j, layer in enumerate(panel.layers):
-                    writer.writerow([date, entity, layer,
-                                     repr(float(panel.values[t, i, j]))])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for date, row in zip(map(csv_field, panel.dates), panel.columns()):
+            fh.write("".join(f"{date},{cell}{v!r}\r\n"
+                             for cell, v in zip(cells, row.tolist())))

@@ -11,9 +11,11 @@ row.  Identical config, panel and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 
@@ -22,12 +24,14 @@ import numpy as np
 from . import multinet
 from .fracdiff import FracDiffSpec, default_adf_lags, find_min_alpha, fracdiff_apply
 from .multinet import MultilayerNetwork
-from .panel import PanelSeries, export_panel
+from .panel import PanelSeries, csv_field, export_panel
 from .regression import FitConfig, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 _XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 _GRAPHML_SCHEMA = "http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd"
+# characters XML 1.0 cannot carry, not even as a character reference
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 NETWORK_HEADER = ["src_entity", "src_layer", "dst_entity", "dst_layer",
                   "weight", "p_value", "kept"]
@@ -182,13 +186,6 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def _csv_field(label: str) -> str:
-    """Quote a label per RFC 4180 so ``csv.reader`` reads it back (csv.writer
-    with a "\n" terminator would leave a lone "\r" unquoted)."""
-    quote = any(c in label for c in ',"\r\n')
-    return '"' + label.replace('"', '""') + '"' if quote else label
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -336,58 +333,61 @@ def export_network(net: MultilayerNetwork, path, fmt: str = "csv") -> str:
     return str(path)
 
 
-def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
-    lines = [",".join(NETWORK_HEADER)]
-    entities = [_csv_field(e) for e in net.entity_labels]
-    for j, src_layer in enumerate(map(_csv_field, net.layer_labels)):
-        for l, dst_layer in enumerate(map(_csv_field, net.layer_labels)):
-            block = net.blocks[j, l]
-            kept = net.kept[j, l]
-            pv = net.p_values[j, l]
-            for i, src in enumerate(entities):
-                for k, dst in enumerate(entities):
-                    lines.append(",".join([
-                        src, src_layer, dst, dst_layer,
-                        _fmt(block[i, k]), _fmt(pv[i, k]),
-                        "true" if kept[i, k] else "false",
-                    ]))
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
+    entities = [csv_field(e) for e in net.entity_labels]
+    layers = [csv_field(l) for l in net.layer_labels]
+    # the label product runs in the C order of the grid
+    rows = zip(itertools.product(layers, layers, entities, entities),
+               net.blocks.ravel().tolist(), net.p_values.ravel().tolist(),
+               net.kept.ravel().tolist())
+    _write_lines(path, itertools.chain([",".join(NETWORK_HEADER)], (
+        f"{src},{src_layer},{dst},{dst_layer},{_fmt(w)},{_fmt(p)},"
+        f"{'true' if k else 'false'}"
+        for (src_layer, dst_layer, src, dst), w, p, k in rows)))
 
 
 def import_network(path) -> MultilayerNetwork:
-    """Rebuild a network from its edge CSV; the grid must be complete.
-    Labels keep their order of first appearance in the file."""
-    rows = []
+    """Rebuild a network from its edge CSV; the grid must hold every edge
+    exactly once.  Labels keep their order of first appearance in the file."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != NETWORK_HEADER:
             raise ValueError(f"unexpected network CSV header: {header!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ValueError(f"row {row_no}: expected 7 fields")
-            rows.append(row)
+        rows = [(row_no, *row) for row_no, row in enumerate(reader, start=2) if row]
     if not rows:
         raise ValueError("network CSV contains no edges")
-    entities = list(dict.fromkeys(r[k] for r in rows for k in (0, 2)))
-    layers = list(dict.fromkeys(r[k] for r in rows for k in (1, 3)))
+    bad = next((row for row in rows if len(row) != 8), None)
+    if bad:
+        raise ValueError(f"row {bad[0]}: expected 7 fields")
+    # a row is (row number, src, src layer, dst, dst layer, weight, p, kept)
+    entities = list(dict.fromkeys(r[c] for r in rows for c in (1, 3)))
+    layers = list(dict.fromkeys(r[c] for r in rows for c in (2, 4)))
     e_idx = {e: i for i, e in enumerate(entities)}
     l_idx = {l: i for i, l in enumerate(layers)}
     shape = (len(layers), len(layers), len(entities), len(entities))
-    if len(rows) != int(np.prod(shape)):
-        raise ValueError(f"incomplete edge grid: {len(rows)} rows for shape {shape}")
-    blocks = np.zeros(shape)
-    kept = np.zeros(shape, dtype=bool)
-    pv = np.full(shape, np.nan)
-    for src, src_layer, dst, dst_layer, w, p, k in rows:
-        j, l = l_idx[src_layer], l_idx[dst_layer]
-        i, m = e_idx[src], e_idx[dst]
-        blocks[j, l, i, m] = float(w)
-        pv[j, l, i, m] = float(p)
-        kept[j, l, i, m] = k == "true"
+    cells = np.ravel_multi_index([[idx[r[c]] for r in rows] for idx, c in (
+        (l_idx, 2), (l_idx, 4), (e_idx, 1), (e_idx, 3))], shape)
+    counts = np.bincount(cells, minlength=math.prod(shape))
+    if counts.max() > 1:
+        dup = int(np.setdiff1d(np.arange(cells.size),
+                               np.unique(cells, return_index=True)[1])[0])
+        raise ValueError(f"row {rows[dup][0]}: duplicate of the edge in row "
+                         f"{rows[int(np.argmax(cells == cells[dup]))][0]}")
+    if counts.min() == 0:
+        j, l, i, m = np.unravel_index(int(np.argmin(counts)), shape)
+        raise ValueError(
+            f"incomplete edge grid: no row for the edge from ({entities[i]!r}, "
+            f"{layers[j]!r}) to ({entities[m]!r}, {layers[l]!r})")
+    order = np.argsort(cells)  # the rows in grid order
+    blocks, pv, kept = (np.array([parse(r[c]) for r in rows])[order].reshape(shape)
+                        for c, parse in ((5, float), (6, float),
+                                         (7, lambda v: v == "true")))
     return MultilayerNetwork(entity_labels=entities, layer_labels=layers,
                              blocks=blocks, kept=kept, p_values=pv)
 
@@ -408,6 +408,9 @@ def _kept_edges(net: MultilayerNetwork):
 
 
 def _write_graphml(net: MultilayerNetwork, path: str) -> None:
+    for label in (*net.entity_labels, *net.layer_labels):
+        if _NOT_XML.search(label):
+            raise ValueError(f"XML 1.0 cannot carry the label {label!r}")
     strength = multinet.node_strength(net)
     coreness = multinet.k_coreness(net)
     ET.register_namespace("", GRAPHML_NS)
@@ -483,8 +486,7 @@ def _write_dot(net: MultilayerNetwork, path: str) -> None:
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} "
                      f"[weight={_fmt(net.blocks[idx])}];")
     lines.append("}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def export_matrices(assortativity, overlap, strength, coreness,
@@ -493,27 +495,17 @@ def export_matrices(assortativity, overlap, strength, coreness,
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, OUTPUTS[key])
              for key in ("assortativity", "edge_overlap", "node_measures")}
-    layer_labels = [_csv_field(l) for l in layer_labels]
-    _write_layer_matrix(assortativity.values, layer_labels, paths["assortativity"])
-    _write_layer_matrix(overlap.values, layer_labels, paths["edge_overlap"])
-    lines = ["entity,layer,strength,coreness"]
-    for i, entity in enumerate(map(_csv_field, entity_labels)):
-        for j, layer in enumerate(layer_labels):
-            lines.append(
-                f"{entity},{layer},{_fmt(strength[i, j])},{int(coreness[i, j])}"
-            )
-    with open(paths["node_measures"], "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    layer_labels = [csv_field(l) for l in layer_labels]
+    for key, matrix in (("assortativity", assortativity), ("edge_overlap", overlap)):
+        _write_lines(paths[key], ["layer," + ",".join(layer_labels)] + [
+            label + "," + ",".join(map(_fmt, row))
+            for label, row in zip(layer_labels, matrix.values.tolist())])
+    nodes = itertools.product(map(csv_field, entity_labels), layer_labels)
+    _write_lines(paths["node_measures"], itertools.chain(
+        ["entity,layer,strength,coreness"],
+        (f"{entity},{layer},{_fmt(s)},{int(c)}" for (entity, layer), s, c
+         in zip(nodes, strength.ravel().tolist(), coreness.ravel().tolist()))))
     return paths
-
-
-def _write_layer_matrix(values, layer_labels, path) -> None:
-    """``layer_labels`` arrive quoted for CSV."""
-    lines = ["layer," + ",".join(layer_labels)]
-    for j, label in enumerate(layer_labels):
-        lines.append(label + "," + ",".join(_fmt(v) for v in values[j]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def save_model(model, panel: PanelSeries, info: dict, model_dir) -> None:

@@ -1,7 +1,13 @@
 """Multilayer assembly and measures against brute-force oracles."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multitar.multinet import (
     MultilayerNetwork,
@@ -176,6 +182,36 @@ class TestApplyFilter:
         net = from_coefficient(np.zeros((2, 2, 2, 2)), list("ab"), list("xy"))
         with pytest.raises(ValueError, match="method"):
             apply_filter(net, method="disparity")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n_e=st.integers(1, 5),
+        n_l=st.integers(1, 3),
+        retain=st.floats(0.0, 1.0, exclude_min=True),
+        a=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_retention_and_polya_block_scale_invariance(self, data, n_e, n_l,
+                                                         retain, a, scale):
+        b = data.draw(arrays(np.float64, (n_e, n_l, n_e, n_l),
+                             elements=st.floats(-10.0, 10.0,
+                                                allow_subnormal=False)))
+        net = from_coefficient(b, [f"E{i}" for i in range(n_e)],
+                               [f"L{j}" for j in range(n_l)])
+        for method in ("polya", "hard"):
+            kept = apply_filter(net, method=method, retain_fraction=retain,
+                                a=a).kept
+            assert np.all(kept.sum(axis=(2, 3)) == math.ceil(retain * n_e ** 2))
+
+        j, l = data.draw(st.tuples(st.integers(0, n_l - 1),
+                                   st.integers(0, n_l - 1)))
+        blocks = net.blocks.copy()
+        blocks[j, l] *= scale
+        scaled = dataclasses.replace(net, blocks=blocks)
+        p = apply_filter(net, retain_fraction=retain, a=a).p_values
+        p_scaled = apply_filter(scaled, retain_fraction=retain, a=a).p_values
+        np.testing.assert_allclose(p_scaled, p, rtol=0.0, atol=1e-12)
 
 
 class TestAssortativity:

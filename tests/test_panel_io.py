@@ -1,9 +1,21 @@
 """Panel CSV ingestion, validation, and canonical round-trips."""
 
+import csv
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from multitar.panel import PanelSeries, export_panel, ingest_csv
+from multitar.panel import CSV_HEADER, PanelSeries, export_panel, ingest_csv
+
+# The label alphabet of the network-CSV round trip: any text UTF-8 can
+# encode, without NUL, which the csv reader of Python 3.10 rejects.
+_LABEL_CHARS = st.characters(codec="utf-8", exclude_characters="\x00")
 
 
 def write_rows(path, rows, header="date,entity,layer,value"):
@@ -99,6 +111,58 @@ class TestIngest:
         export_panel(panel, first)
         export_panel(ingest_csv(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def _sorted_labels(max_size):
+    return st.lists(st.text(_LABEL_CHARS, max_size=6), min_size=1,
+                    max_size=max_size, unique=True).map(sorted)
+
+
+@st.composite
+def panels(draw):
+    """Panels with arbitrary labels, sorted as ingestion sorts them."""
+    dates, entities, layers = (draw(_sorted_labels(n)) for n in (4, 3, 3))
+    values = draw(arrays(np.float64, (len(dates), len(entities), len(layers)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return PanelSeries(dates=dates, entities=entities, layers=layers,
+                       values=values)
+
+
+# labels given sorted, as ingestion sorts them
+_AWKWARD = PanelSeries(dates=["", "\n", "a,b"], entities=["lone\rcr", 'q"'],
+                       layers=[" ", "y\r\nz"], values=np.full((3, 2, 2), -0.0))
+
+
+class TestExportAnyLabel:
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels())
+    @example(panel=_AWKWARD)
+    def test_round_trip(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "panel.csv")
+            export_panel(panel, path)
+            back = ingest_csv(path)
+        assert (back.dates, back.entities, back.layers) == (
+            panel.dates, panel.entities, panel.layers)
+        assert back.values.tobytes() == panel.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels())
+    @example(panel=_AWKWARD)
+    def test_bytes_equal_csv_writer(self, panel):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(CSV_HEADER)
+        for t, date in enumerate(panel.dates):
+            for i, entity in enumerate(panel.entities):
+                for j, layer in enumerate(panel.layers):
+                    writer.writerow([date, entity, layer,
+                                     repr(float(panel.values[t, i, j]))])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "panel.csv")
+            export_panel(panel, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == buf.getvalue().encode("utf-8")
 
 
 class TestPanelSeries:

@@ -1,8 +1,10 @@
 """Configuration, staged pipeline runs, exports, and the CLI surface."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -173,6 +175,16 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=r"\[fracdiff\].*nonpositive"):
             run_pipeline(cfg, bad)
 
+    def test_label_xml_cannot_carry_fails_measure_stage(self, small_panel,
+                                                       tmp_path):
+        panel, _ = small_panel
+        panel = dataclasses.replace(panel,
+                                    entities=("a\x01",) + panel.entities[1:])
+        cfg = PipelineConfig(alpha=0.3, lambda_grid=(0.0,),
+                             out_dir=str(tmp_path / "run"))
+        with pytest.raises(PipelineError, match=r"\[measure\].*'a\\x01'"):
+            run_pipeline(cfg, panel)
+
     def test_log_epsilon_shift_allows_zeros(self, small_panel, tmp_path):
         panel, _ = small_panel
         values = panel.values.copy()
@@ -317,6 +329,26 @@ class TestExports:
                                                  for l in layers]
             assert all(len(r) == 4 for r in rows)
 
+    def test_duplicated_edge_row_rejected(self, tmp_path):
+        path = tmp_path / "net.csv"
+        export_network(self._filtered(n_e=2, n_l=2), path, "csv")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[2]  # row 3 copied over row 4
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match="row 4: duplicate of the edge in row 3"):
+            import_network(path)
+
+    def test_missing_edge_named(self, tmp_path):
+        path = tmp_path / "net.csv"
+        export_network(self._filtered(n_e=2, n_l=2), path, "csv")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        del lines[7]  # the edge from E1 in L0 to E0 in L1
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"incomplete edge grid: no row for "
+                           r"the edge from \('E1', 'L0'\) to \('E0', 'L1'\)"):
+            import_network(path)
+
     def test_single_edge_csv(self, tmp_path):
         net = from_coefficient(np.full((1, 1, 1, 1), 2.0), ["A"], ["x"])
         path = tmp_path / "one.csv"
@@ -387,6 +419,16 @@ class TestExports:
         assert len(set(ids)) == len(ids) == n_e * n_l
         assert [(d["d_entity"], d["d_layer"]) for _, d in nodes] == [
             (e, l) for e in entities for l in layers]
+
+    @pytest.mark.parametrize("label", ["a\x01", "\x0b", "x\x1f", "\ufffe",
+                                       "b\uffff"])
+    def test_graphml_rejects_label_xml_cannot_carry(self, label, tmp_path):
+        net = from_coefficient(np.ones((2, 1, 2, 1)), ["ok", label], ["x"])
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            export_network(net, tmp_path / "net.graphml", "graphml")
+        layered = from_coefficient(np.ones((1, 2, 1, 2)), ["e"], [label, "y"])
+        with pytest.raises(ValueError, match="XML 1.0 cannot carry"):
+            export_network(layered, tmp_path / "net.graphml", "graphml")
 
     def test_dot_has_one_subgraph_per_layer(self, tmp_path):
         net = self._filtered()
