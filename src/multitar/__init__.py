@@ -55,9 +55,7 @@ from .regression import (
 )
 from .synthetic import generate_arfima_panel, generate_tar_panel
 from .tensor_ops import (
-    ModePairing,
     TuckerFactors,
-    contract,
     fold,
     mode_multiply,
     tucker_reconstruct,

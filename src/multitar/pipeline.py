@@ -385,11 +385,29 @@ def import_network(path) -> MultilayerNetwork:
             f"incomplete edge grid: no row for the edge from ({entities[i]!r}, "
             f"{layers[j]!r}) to ({entities[m]!r}, {layers[l]!r})")
     order = np.argsort(cells)  # the rows in grid order
-    blocks, pv, kept = (np.array([parse(r[c]) for r in rows])[order].reshape(shape)
-                        for c, parse in ((5, float), (6, float),
-                                         (7, lambda v: v == "true")))
+    blocks, pv, kept = (np.array(_parse_column(rows, c, parse))[order].reshape(shape)
+                        for c, parse in ((5, float), (6, float), (7, _parse_kept)))
     return MultilayerNetwork(entity_labels=entities, layer_labels=layers,
                              blocks=blocks, kept=kept, p_values=pv)
+
+
+def _parse_kept(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+def _parse_column(rows, c: int, parse) -> list:
+    """Field ``c`` of every row through ``parse``; an error names the row and
+    the column."""
+    values = []
+    try:
+        for row in rows:
+            values.append(parse(row[c]))
+    except ValueError as exc:
+        raise ValueError(f"row {row[0]}, column {NETWORK_HEADER[c - 1]}: "
+                         f"{exc}") from None
+    return values
 
 
 def _node_id(entity: str, layer: str) -> str:

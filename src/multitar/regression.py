@@ -3,6 +3,9 @@
 The model is ``Y = A + <X, B> + E`` where the contraction pairs every
 non-sample mode of the regressor ``X`` with the leading modes of the
 coefficient ``B``, and ``B`` carries a Tucker structure ``core x_d U_d``.
+Unfolded to regressor by response modes this is ``B = W_x G W_y'``, where
+``G`` is the core unfolded the same way and ``W_x``, ``W_y`` are the Kronecker
+products of the regressor and of the response factors in mode order.
 Fitting minimizes ``||Y - A - <X, B>||_F^2 + ridge * ||B||_F^2``; the
 intercept is handled by mean-centering, and the penalty acts on the
 reconstructed ``B``, not on the individual Tucker blocks.
@@ -14,9 +17,10 @@ At full Tucker rank the model is the unstructured ridge VAR on the
 unfoldings, and the fit is one ridge solve ``(R_x'R_x + ridge I)^-1 R_x'R_y``
 with identity factors.  Below full rank that solve seeds each factor with the
 leading singular vectors of its unfolding, and each ALS sweep then updates the
-core and every factor in mode order.  Every update is the exact minimizer of
-the penalized objective in that block with the others held fixed, so the
-objective trace is non-increasing.
+core and every factor in mode order.  Each update is a few matrix products on
+the Kronecker form, with the factor being updated set to an identity, and is
+the exact minimizer of the penalized objective in that block with the others
+held fixed, so the objective trace is non-increasing.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import scipy.linalg
 from .tensor_ops import (
     TuckerFactors,
     as_tensor,
-    mode_multiply,
     tucker_reconstruct,
     unfold,
 )
@@ -169,23 +172,19 @@ def _solve_spd(a, rhs, context, ridge):
     consistent normal equations (flat directions of the block), so the
     minimum-norm solution is returned.
     """
+    singular = (f"singular normal equations in {context} with lambda = 0; "
+                "raise lambda to regularize")
     if ridge == 0.0:
         eig = np.linalg.eigvalsh(a)
         if eig[-1] <= 0.0 or eig[0] <= 1e-13 * eig[-1]:
-            raise SingularSystemError(
-                f"singular normal equations in {context} with lambda = 0; "
-                "raise lambda to regularize"
-            )
+            raise SingularSystemError(singular)
     try:
         cf = scipy.linalg.cho_factor(a, check_finite=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
         if ridge > 0.0:
             sol, _, _, _ = scipy.linalg.lstsq(a, rhs, check_finite=False)
             return sol
-        raise SingularSystemError(
-            f"singular normal equations in {context} with lambda = 0; "
-            "raise lambda to regularize"
-        ) from None
+        raise SingularSystemError(singular) from None
     return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
 
 
@@ -214,71 +213,45 @@ def _ridge_solve(xc, yc, ridge, context):
     return _solve_spd(gram, xc.T @ yc, context, ridge)
 
 
-def _penalty_gram(core, factors, d):
-    """R_d x R_d matrix M with ||B||_F^2 = tr(U_d M U_d') for factor d."""
-    chained = core
-    for k, u in enumerate(factors):
-        if k != d:
-            chained = mode_multiply(chained, u.T @ u, k)
-    return unfold(chained, d) @ unfold(core, d).T
-
-
-def _kron_gram(factors):
-    """Kronecker product of the factor Grams ``U'U``, in mode order."""
-    return functools.reduce(np.kron, [u.T @ u for u in factors], np.eye(1))
-
-
-def _apply_regressor_factors(xc, factors, n_reg, skip=-1):
-    """Contract each regressor mode of xc with its factor (transposed)."""
-    out = xc
-    for k in range(n_reg):
-        if k != skip:
-            out = mode_multiply(out, factors[k].T, k + 1)
-    return out
-
-
-def _apply_response_factors(core, factors, n_reg, skip=-1):
-    out = core
-    for d in range(n_reg, core.ndim):
-        if d != skip:
-            out = mode_multiply(out, factors[d], d)
-    return out
+def _partial(core, factors, n_reg, skip=-1):
+    """The partial ``P = W_x G W_y'`` with factor ``skip`` an identity, folded
+    to a tensor: ``B = P x_skip U_skip``, and ``P = B`` when none is skipped."""
+    mats = [np.eye(u.shape[1]) if k == skip else u for k, u in enumerate(factors)]
+    w_x = functools.reduce(np.kron, mats[:n_reg])
+    w_y = functools.reduce(np.kron, mats[n_reg:])
+    g = core.reshape(w_x.shape[1], w_y.shape[1])
+    return (w_x @ g @ w_y.T).reshape([m.shape[0] for m in mats])
 
 
 def _update_core(xc, yc, core_shape, factors, n_reg, ridge):
     n = xc.shape[0]
-    z = _apply_regressor_factors(xc, factors, n_reg).reshape(n, -1)
-    y_t = yc
-    for d in range(n_reg, len(core_shape)):
-        y_t = mode_multiply(y_t, factors[d].T, d - n_reg + 1)
-    y_t = y_t.reshape(n, -1)
-
+    w_x = functools.reduce(np.kron, factors[:n_reg])
+    w_y = functools.reduce(np.kron, factors[n_reg:])
+    z = xc.reshape(n, -1) @ w_x
     lhs = z.T @ z
     if ridge > 0.0:
-        lhs = lhs + ridge * _kron_gram(factors[:n_reg])
-    gu = _solve_spd(lhs, z.T @ y_t, "core update", ridge)
-    gu = _solve_spd(_kron_gram(factors[n_reg:]), gu.T, "core update", ridge).T
+        lhs = lhs + ridge * (w_x.T @ w_x)
+    gu = _solve_spd(lhs, z.T @ (yc.reshape(n, -1) @ w_y), "core update", ridge)
+    gu = _solve_spd(w_y.T @ w_y, gu.T, "core update", ridge).T
     return gu.reshape(core_shape)
 
 
 def _update_regressor_factor(xc, yc, core, factors, k, ridge):
     n = xc.shape[0]
-    n_reg = xc.ndim - 1
     i_d, r_d = factors[k].shape
-    # the prediction is linear in U_k: yhat[t, j] = sum z[t, i, u] U_k[i, a] c[a, u, j]
-    z = _apply_regressor_factors(xc, factors, n_reg, skip=k)
-    z = np.moveaxis(z, k + 1, 1).reshape(n, i_d, -1)
-    c = np.moveaxis(_apply_response_factors(core, factors, n_reg), k, 0)
-    c = c.reshape(r_d, z.shape[2], -1)
-    ztz = np.tensordot(z, z, axes=(0, 0))
-    cct = np.tensordot(c, c, axes=(2, 2))
-    dtd = np.einsum("iujv,aubv->iajb", ztz, cct, optimize=True)
+    # B = P x_k U_k for the partial P, so with o over the other regressor modes
+    # the prediction is yhat[t, j] = sum x[t, i, o] U_k[i, a] p[a, o, j]
+    x = np.moveaxis(xc, k + 1, 1).reshape(n, i_d, -1)
+    part = unfold(_partial(core, factors, xc.ndim - 1, k), k)
+    p = part.reshape(r_d, x.shape[2], -1)
+    xtx = np.tensordot(x, x, axes=(0, 0))
+    ptp = np.tensordot(p, p, axes=(2, 2))
+    dtd = np.tensordot(xtx, ptp, axes=((1, 3), (1, 3))).transpose(0, 2, 1, 3)
     dtd = dtd.reshape(i_d * r_d, i_d * r_d)
-    zty = np.tensordot(z, yc.reshape(n, -1), axes=(0, 0))
-    rhs = np.einsum("iuj,auj->ia", zty, c, optimize=True).reshape(-1)
-
+    yp = np.tensordot(yc.reshape(n, -1), p, axes=(1, 2))
+    rhs = np.tensordot(x, yp, axes=((0, 2), (0, 2))).reshape(-1)
     if ridge > 0.0:
-        dtd = dtd + ridge * np.kron(np.eye(i_d), _penalty_gram(core, factors, k))
+        dtd = dtd + ridge * np.kron(np.eye(i_d), part @ part.T)
     sol = _solve_spd(dtd, rhs, f"factor {k} update", ridge)
     return sol.reshape(i_d, r_d)
 
@@ -286,19 +259,15 @@ def _update_regressor_factor(xc, yc, core, factors, k, ridge):
 def _update_response_factor(xc, yc, core, factors, d, ridge):
     n = xc.shape[0]
     n_reg = xc.ndim - 1
-    m_local = d - n_reg
-    r_d = factors[d].shape[1]
-    z = _apply_regressor_factors(xc, factors, n_reg)
-    c_partial = _apply_response_factors(core, factors, n_reg, skip=d)
-    h = np.tensordot(z, c_partial, axes=(range(1, n_reg + 1), range(n_reg)))
-    hm = np.moveaxis(h, 1 + m_local, -1).reshape(-1, r_d)
-    ym = np.moveaxis(yc, 1 + m_local, -1).reshape(-1, yc.shape[1 + m_local])
-
-    lhs = hm.T @ hm
+    part = _partial(core, factors, n_reg, d)
+    # yhat = H x_d U_d for H = R_x . P, so the response unfolding is U_d H_(d)
+    h = xc.reshape(n, -1) @ part.reshape(xc[0].size, -1)
+    h = unfold(h.reshape((n,) + part.shape[n_reg:]), d - n_reg + 1)
+    lhs = h @ h.T
     if ridge > 0.0:
-        lhs = lhs + ridge * _penalty_gram(core, factors, d)
-    sol = _solve_spd(lhs, hm.T @ ym, f"factor {d} update", ridge)
-    return sol.T.copy()
+        lhs = lhs + ridge * (unfold(part, d) @ unfold(part, d).T)
+    rhs = h @ unfold(yc, d - n_reg + 1).T
+    return _solve_spd(lhs, rhs, f"factor {d} update", ridge).T.copy()
 
 
 def _init_factors(b_full, dims, ranks, seed):
@@ -328,11 +297,9 @@ def _als_sweeps(xc, yc, ranks, factors, ridge, config):
     for sweep in range(config.max_sweeps):
         core = _update_core(xc, yc, ranks, factors, n_reg, ridge)
         for d in range(len(ranks)):
-            if d < n_reg:
-                factors[d] = _update_regressor_factor(xc, yc, core, factors, d, ridge)
-            else:
-                factors[d] = _update_response_factor(xc, yc, core, factors, d, ridge)
-        b = tucker_reconstruct(TuckerFactors(core, tuple(factors)))
+            update = _update_regressor_factor if d < n_reg else _update_response_factor
+            factors[d] = update(xc, yc, core, factors, d, ridge)
+        b = _partial(core, factors, n_reg)
         obj = _objective(r_x, r_y, b, ridge)
         if not math.isfinite(obj):
             raise SingularSystemError(

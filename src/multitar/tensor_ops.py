@@ -1,4 +1,4 @@
-"""Dense tensor algebra: unfolding, mode products, contraction, Tucker assembly.
+"""Dense tensor algebra: unfolding, mode products and Tucker assembly.
 
 All tensors are ``numpy.float64`` arrays stored in C order (row major, last
 mode varies fastest).  ``unfold(T, m)`` moves mode ``m`` to the front and
@@ -67,51 +67,6 @@ def mode_multiply(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarr
     new_shape = list(tensor.shape)
     new_shape[mode] = matrix.shape[0]
     return fold(matrix @ unfold(tensor, mode), mode, new_shape)
-
-
-@dataclass(frozen=True)
-class ModePairing:
-    """Pairing of regressor modes with coefficient modes for :func:`contract`."""
-
-    regressor_modes: tuple = ()
-    coefficient_modes: tuple = ()
-
-    def __post_init__(self):
-        rm = tuple(int(m) for m in self.regressor_modes)
-        cm = tuple(int(m) for m in self.coefficient_modes)
-        object.__setattr__(self, "regressor_modes", rm)
-        object.__setattr__(self, "coefficient_modes", cm)
-        if len(rm) != len(cm):
-            raise ValueError("pairing lists must have equal length")
-        if len(rm) == 0:
-            raise ValueError("empty pairing is rejected")
-        if len(set(rm)) != len(rm) or len(set(cm)) != len(cm):
-            raise ValueError("a mode index may appear at most once per side")
-
-
-def contract(x: np.ndarray, b: np.ndarray, pairing: ModePairing) -> np.ndarray:
-    """Contracted product of ``x`` and ``b`` over the paired modes.
-
-    The result carries the unpaired modes of ``x`` (in order) followed by the
-    unpaired modes of ``b`` (in order); each entry sums the product of the
-    two operands over all paired index combinations.  For order-2 operands
-    paired tail-to-head this is the ordinary matrix product.
-    """
-    x = as_tensor(x)
-    b = as_tensor(b)
-    for m in pairing.regressor_modes:
-        if not 0 <= m < x.ndim:
-            raise ValueError(f"regressor mode {m} out of range")
-    for m in pairing.coefficient_modes:
-        if not 0 <= m < b.ndim:
-            raise ValueError(f"coefficient mode {m} out of range")
-    for mx, mb in zip(pairing.regressor_modes, pairing.coefficient_modes):
-        if x.shape[mx] != b.shape[mb]:
-            raise ValueError(
-                f"paired extents differ: x mode {mx} has {x.shape[mx]}, "
-                f"b mode {mb} has {b.shape[mb]}"
-            )
-    return np.tensordot(x, b, axes=(pairing.regressor_modes, pairing.coefficient_modes))
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,24 @@ class TestExports:
                            r"the edge from \('E1', 'L0'\) to \('E0', 'L1'\)"):
             import_network(path)
 
+    @pytest.mark.parametrize("field, text, message", [
+        (6, "True", "column kept: expected true or false, got 'True'"),
+        (6, "yes", "column kept: expected true or false, got 'yes'"),
+        (4, "abc", "column weight: could not convert string to float: 'abc'"),
+        (5, "", "column p_value: could not convert string to float: ''"),
+    ], ids=["kept-True", "kept-yes", "weight-abc", "p_value-empty"])
+    def test_bad_field_names_its_row_and_column(self, tmp_path, field, text,
+                                                 message):
+        path = tmp_path / "one.csv"
+        net = from_coefficient(np.full((1, 1, 1, 1), 2.0), ["A"], ["x"])
+        export_network(net, path, "csv")
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        fields = row.split(",")
+        fields[field] = text
+        path.write_text(f"{header}\n{','.join(fields)}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"row 2, {message}")):
+            import_network(path)
+
     def test_single_edge_csv(self, tmp_path):
         net = from_coefficient(np.full((1, 1, 1, 1), 2.0), ["A"], ["x"])
         path = tmp_path / "one.csv"

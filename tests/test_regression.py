@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from multitar.regression import (
     FitConfig,
     SingularSystemError,
+    _partial,
+    _update_core,
     _update_regressor_factor,
+    _update_response_factor,
     als_fit,
     build_lagged_pairs,
     closed_form_fit,
@@ -22,7 +25,7 @@ from multitar.regression import (
     resolve_ranks,
     select_lambda,
 )
-from multitar.tensor_ops import TuckerFactors, tucker_reconstruct
+from multitar.tensor_ops import TuckerFactors, mode_multiply, tucker_reconstruct
 
 
 def is_non_increasing(trace, slack=1e-9):
@@ -300,6 +303,87 @@ class TestAlsFit:
 
         got = _update_regressor_factor(xc, yc, core, factors, k, ridge)
         np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-9, atol=1e-12)
+
+    @staticmethod
+    def _explicit_design_problem(seed):
+        rng = np.random.default_rng(seed)
+        n, dims, ranks = 40, (5, 3, 4, 2), (2, 2, 3, 2)
+        x = rng.standard_normal((n, 5, 3))
+        y = rng.standard_normal((n, 4, 2))
+        core = rng.standard_normal(ranks)
+        factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        return x - x.mean(axis=0), y - y.mean(axis=0), core, factors
+
+    @staticmethod
+    def _penalized_lstsq(xc, yc, deltas, ridge):
+        """Least squares with one column per coefficient direction ``dB``."""
+        n = xc.shape[0]
+        design = [(xc.reshape(n, -1) @ db).reshape(-1) for db in deltas]
+        penalty = [np.sqrt(ridge) * db.reshape(-1) for db in deltas]
+        lhs = np.vstack([np.array(design).T, np.array(penalty).T])
+        rhs = np.concatenate([yc.reshape(-1), np.zeros(len(penalty[0]))])
+        return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+
+    @pytest.mark.parametrize("ridge", [0.0, 3.0])
+    def test_core_step_matches_kron_least_squares(self, ridge):
+        # oracle: explicit design on the raw samples, one column per core entry
+        xc, yc, core, factors = self._explicit_design_problem(50)
+        w_x = np.kron(factors[0], factors[1])
+        w_y = np.kron(factors[2], factors[3])
+        deltas = []
+        for a in range(w_x.shape[1]):
+            for b in range(w_y.shape[1]):
+                deltas.append(np.outer(w_x[:, a], w_y[:, b]))
+        expected = self._penalized_lstsq(xc, yc, deltas, ridge)
+
+        got = _update_core(xc, yc, core.shape, factors, 2, ridge)
+        np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("ridge", [0.0, 3.0])
+    def test_response_factor_step_matches_kron_least_squares(self, d, ridge):
+        # oracle: explicit design on the raw samples, one column per entry of U_d
+        xc, yc, core, factors = self._explicit_design_problem(60 + d)
+        g = core.reshape(4, 6)
+        w_x = np.kron(factors[0], factors[1])
+        j_d, s_d = factors[d].shape
+        deltas = []
+        for j in range(j_d):
+            for a in range(s_d):
+                unit = np.zeros((j_d, s_d))
+                unit[j, a] = 1.0
+                right = (np.kron(unit, factors[3]) if d == 2
+                         else np.kron(factors[2], unit))
+                deltas.append(w_x @ g @ right.T)
+        expected = self._penalized_lstsq(xc, yc, deltas, ridge)
+
+        got = _update_response_factor(xc, yc, core, factors, d, ridge)
+        np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x_dims=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        y_dims=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        rank_draws=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kronecker_assembly_matches_tucker_reconstruct(self, x_dims, y_dims,
+                                                          rank_draws, seed):
+        # B = W_x G W_y' unfolded, and B = P x_d U_d for every partial P
+        rng = np.random.default_rng(seed)
+        dims = x_dims + y_dims
+        ranks = [1 + int(u * (d - 1) + 0.5) for u, d in zip(rank_draws, dims)]
+        core = rng.standard_normal(ranks)
+        factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        expected = tucker_reconstruct(TuckerFactors(core, tuple(factors)))
+        scale = np.max(np.abs(expected))
+        got = _partial(core, factors, len(x_dims))
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+        for d, u in enumerate(factors):
+            part = _partial(core, factors, len(x_dims), d)
+            np.testing.assert_allclose(mode_multiply(part, u, d), expected,
+                                       rtol=0, atol=1e-12 * scale)
 
     def test_resolve_ranks(self):
         assert resolve_ranks("full", (3, 4)) == (3, 4)

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from multitar.tensor_ops import (
-    ModePairing,
     TuckerFactors,
-    contract,
     fold,
     mode_multiply,
     tucker_reconstruct,
@@ -98,60 +96,6 @@ class TestModeMultiply:
         ab = mode_multiply(mode_multiply(t, m1, 0), m2, 2)
         ba = mode_multiply(mode_multiply(t, m2, 2), m1, 0)
         np.testing.assert_allclose(ab, ba, rtol=1e-12)
-
-
-class TestContract:
-    def test_matrix_product_special_case(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 3))
-        b = rng.standard_normal((3, 5))
-        got = contract(x, b, ModePairing((1,), (0,)))
-        np.testing.assert_array_equal(got, x @ b)
-
-    def test_all_ones_counts_paired_combinations(self):
-        x = np.ones((2, 2, 2))
-        b = np.ones((2, 2, 2, 2))
-        got = contract(x, b, ModePairing((1, 2), (0, 1)))
-        assert got.shape == (2, 2, 2)
-        np.testing.assert_array_equal(got, np.full((2, 2, 2), 4.0))
-
-    def test_matches_quadruple_loop(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 2, 2))
-        b = rng.standard_normal((2, 2, 2, 2))
-        expected = np.zeros((3, 2, 2))
-        for n in range(3):
-            for c in range(2):
-                for d in range(2):
-                    acc = 0.0
-                    for a in range(2):
-                        for e in range(2):
-                            acc += x[n, a, e] * b[a, e, c, d]
-                    expected[n, c, d] = acc
-        got = contract(x, b, ModePairing((1, 2), (0, 1)))
-        np.testing.assert_allclose(got, expected, rtol=1e-13)
-
-    def test_empty_pairing_rejected(self):
-        with pytest.raises(ValueError, match="empty pairing"):
-            ModePairing((), ())
-
-    def test_repeated_mode_rejected(self):
-        with pytest.raises(ValueError, match="at most once"):
-            ModePairing((1, 1), (0, 1))
-
-    def test_extent_mismatch(self):
-        with pytest.raises(ValueError, match="paired extents differ"):
-            contract(np.ones((2, 3)), np.ones((4, 2)), ModePairing((1,), (0,)))
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(7)
-        x1 = rng.standard_normal((3, 2, 2))
-        x2 = rng.standard_normal((3, 2, 2))
-        b = rng.standard_normal((2, 2, 4))
-        pairing = ModePairing((1, 2), (0, 1))
-        lhs = contract(1.7 * x1 - 0.3 * x2, b, pairing)
-        rhs = 1.7 * contract(x1, b, pairing) - 0.3 * contract(x2, b, pairing)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 class TestTucker:
