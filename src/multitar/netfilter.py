@@ -1,11 +1,18 @@
 """Statistical sparsification of dense directed weighted networks.
 
-Each edge is scored under a Polya urn null: a node with degree ``k`` and
-total incident strength ``s`` allocates weight across its edges by a
-reinforced urn with parameter ``a``.  The survival probability of a weight
-at least ``w`` is the Beta-Binomial tail, extended to continuous weights by
-mixing the regularized incomplete beta over the urn's Beta share
-distribution; ``a -> 0`` recovers the plain Binomial(s, 1/k) tail.
+Each edge is scored under a Polya urn null (Marcaccioli & Livan 2019): a
+node with degree ``k`` and total incident strength ``s`` allocates weight
+across its edges by a reinforced urn with parameter ``a``.  The survival
+probability of a weight at least ``w`` is the Beta-Binomial tail, extended
+to continuous weights by mixing the regularized incomplete beta over the
+urn's Beta share distribution; ``a -> 0`` recovers the plain
+Binomial(s, 1/k) tail.
+
+When ``1/a`` is an integer up to ``_MAX_TERMS`` (the default ``a = 1``
+among them) the mixture is a finite sum of Beta-function ratios, exact but
+for rounding; at ``a = 1`` it is B(w, s - w + k) / B(w, s - w + 1).  Other
+``a`` use a 128-node quadrature rule whose absolute error is up to about
+3e-5; ``_survival`` states both errors as measured.
 
 ``polya_filter`` evaluates the urn on weight shares (each endpoint's weights
 are rescaled so its strength equals its degree), which makes the resulting
@@ -22,7 +29,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
+# Largest integer 1/a that _survival sums in closed form, one term per unit
+_MAX_TERMS = 16
+
 # 128-point Gauss-Legendre rule on [0, 1] for the mixture over urn shares
+# when 1/a is not an integer up to _MAX_TERMS
 _QUAD_NODES, _QUAD_WEIGHTS = leggauss(128)
 _QUAD_NODES, _QUAD_WEIGHTS = 0.5 * (_QUAD_NODES + 1.0), 0.5 * _QUAD_WEIGHTS
 
@@ -87,7 +98,31 @@ class FilterResult:
 
 
 def _survival(w, s, k, a) -> np.ndarray:
-    """Vectorized urn survival probability P(W >= w | s, k, a)."""
+    """Vectorized urn survival probability P(W >= w | s, k, a).
+
+    This is P(Y <= X) for Y ~ Beta(w, s - w + 1), whose CDF at x is the
+    Binomial(s, x) tail at ``w`` extended to real ``w``, and the urn share
+    X ~ Beta(1/a, b) with b = (k - 1)/a.  When m = 1/a is an integer no
+    larger than ``_MAX_TERMS``, 1 - I_y(m, b) is a sum of m terms in
+    y^j (1 - y)^b, and their expectations give (Cook 2005)
+
+        p = sum_{j<m} Gamma(b + j) / (Gamma(b) j!)
+                      * B(w + j, s - w + 1 + b) / B(w, s - w + 1),
+
+    which is B(w, s - w + k) / B(w, s - w + 1) at a = 1.  The first term
+    comes from ``betaln``; term j is term j-1 times
+    (b + j - 1)(w + j - 1) / (j (s + b + j)).  Against 50-digit mpmath the
+    relative error stayed below 1e-12 for s, k <= 100 and m <= 3, and below
+    4e-12 for m <= 16.  It grows with log Gamma(s + b) once s + b passes
+    171, where ``betaln`` subtracts ``gammaln`` values.
+
+    ``a = 0`` is the Binomial(s, 1/k) tail.  Any other ``a`` mixes
+    ``betainc`` over a 128-node Gauss-Legendre rule on the quantiles of X.
+    That rule is not exact: against the Beta-binomial tail at integer
+    w <= s <= 200, k <= 200 and 1e-3 <= a <= 20, its absolute error stayed
+    below 3e-5 (the largest of 6000 random draws was 2.2e-5, at a near 13),
+    and p-values below 1e-6 may be off by as much as themselves.
+    """
     w, s, k = np.broadcast_arrays(
         np.asarray(w, dtype=np.float64),
         np.asarray(s, dtype=np.float64),
@@ -101,7 +136,17 @@ def _survival(w, s, k, a) -> np.ndarray:
     if a == 0.0:
         out[active] = special.betainc(wa, sa - wa + 1.0, 1.0 / ka)
         return out
-    shares = special.betaincinv(1.0 / a, (ka[:, None] - 1.0) / a, _QUAD_NODES)
+    m, b = 1.0 / a, (ka - 1.0) / a
+    if m.is_integer() and m <= _MAX_TERMS:
+        term = np.exp(special.betaln(wa, sa - wa + 1.0 + b)
+                      - special.betaln(wa, sa - wa + 1.0))
+        total = term.copy()
+        for j in range(1, int(m)):
+            term *= (b + j - 1.0) * (wa + j - 1.0) / (j * (sa + b + j))
+            total += term
+        out[active] = np.minimum(total, 1.0)
+        return out
+    shares = special.betaincinv(m, b[:, None], _QUAD_NODES)
     tails = special.betainc(wa[:, None], sa[:, None] - wa[:, None] + 1.0, shares)
     out[active] = np.clip(tails @ _QUAD_WEIGHTS, 0.0, 1.0)
     return out

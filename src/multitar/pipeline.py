@@ -325,11 +325,14 @@ def export_network(net: MultilayerNetwork, path, fmt: str = "csv") -> str:
     :func:`import_network`; ``graphml`` and ``dot`` describe the filtered
     graph for external renderers, with node strength/coreness attached.
     """
-    writers = {"csv": _write_network_csv, "graphml": _write_graphml,
-               "dot": _write_dot}
-    if fmt not in writers:
+    writers = {"graphml": _write_graphml, "dot": _write_dot}
+    if fmt == "csv":
+        _write_network_csv(net, str(path))
+    elif fmt in writers:
+        writers[fmt](net, str(path), multinet.node_strength(net),
+                     multinet.k_coreness(net))
+    else:
         raise ValueError(f"unknown format {fmt!r}")
-    writers[fmt](net, str(path))
     return str(path)
 
 
@@ -425,12 +428,11 @@ def _kept_edges(net: MultilayerNetwork):
         yield _node_id(ent[i], lay[j]), _node_id(ent[k], lay[l]), (j, l, i, k)
 
 
-def _write_graphml(net: MultilayerNetwork, path: str) -> None:
+def _write_graphml(net: MultilayerNetwork, path: str, strength,
+                   coreness) -> None:
     for label in (*net.entity_labels, *net.layer_labels):
         if _NOT_XML.search(label):
             raise ValueError(f"XML 1.0 cannot carry the label {label!r}")
-    strength = multinet.node_strength(net)
-    coreness = multinet.k_coreness(net)
     ET.register_namespace("", GRAPHML_NS)
     root = ET.Element(f"{{{GRAPHML_NS}}}graphml")
     root.set(f"{{{_XSI_NS}}}schemaLocation", f"{GRAPHML_NS} {_GRAPHML_SCHEMA}")
@@ -486,9 +488,7 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _write_dot(net: MultilayerNetwork, path: str) -> None:
-    strength = multinet.node_strength(net)
-    coreness = multinet.k_coreness(net)
+def _write_dot(net: MultilayerNetwork, path: str, strength, coreness) -> None:
     lines = ["digraph multilayer {"]
     for j, layer in enumerate(net.layer_labels):
         lines.append(f"  subgraph cluster_{j} {{")
@@ -584,8 +584,8 @@ def _filter_row(net, config):
 
 def _measure_row(net, config):
     assort, overlap, strength, coreness = compute_measures(net, config)
-    export_network(net, _out(config, "network_graphml"), "graphml")
-    export_network(net, _out(config, "network_dot"), "dot")
+    _write_graphml(net, _out(config, "network_graphml"), strength, coreness)
+    _write_dot(net, _out(config, "network_dot"), strength, coreness)
     export_matrices(assort, overlap, strength, coreness,
                     net.entity_labels, net.layer_labels, config.out_dir)
     return net, None

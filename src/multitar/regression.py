@@ -167,17 +167,20 @@ def _check_pair(x, y):
 def _solve_spd(a, rhs, context, ridge):
     """Solve a symmetric PSD system from a penalized least-squares block.
 
-    With ``ridge == 0`` an ill-conditioned system is an error (the caller
-    must raise lambda).  With ``ridge > 0`` a singular system still has
-    consistent normal equations (flat directions of the block), so the
-    minimum-norm solution is returned.
+    A system whose eigenvalues span more than 1e13 is singular.  With
+    ``ridge == 0`` that is an error (the caller must raise lambda).  With
+    ``ridge > 0`` a singular ALS block has flat directions, where its penalty
+    ``ridge * W'W`` is singular too; its normal equations are still
+    consistent, so the minimum-norm solution is returned.  A Cholesky solve
+    would put large steps along the flat directions, whose rounding can raise
+    the objective.  An identity penalty keeps every eigenvalue at or above
+    ``ridge``, so the minimum-norm solution also needs the smallest below
+    ``ridge / 2``: a ridge solve on badly scaled data stays a Cholesky solve.
+    ``trace(a) * trace(a^-1)`` bounds the spread from above and costs one
+    triangular inverse, so only systems it cannot clear get eigenvalues.
     """
     singular = (f"singular normal equations in {context} with lambda = 0; "
                 "raise lambda to regularize")
-    if ridge == 0.0:
-        eig = np.linalg.eigvalsh(a)
-        if eig[-1] <= 0.0 or eig[0] <= 1e-13 * eig[-1]:
-            raise SingularSystemError(singular)
     try:
         cf = scipy.linalg.cho_factor(a, check_finite=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
@@ -185,6 +188,16 @@ def _solve_spd(a, rhs, context, ridge):
             sol, _, _, _ = scipy.linalg.lstsq(a, rhs, check_finite=False)
             return sol
         raise SingularSystemError(singular) from None
+    inv = np.triu(scipy.linalg.lapack.dtrtri(cf[0])[0])  # a = u'u, u upper
+    if np.trace(a) * np.sum(inv * inv) > 1e13:
+        eig = np.linalg.eigvalsh(a)
+        if eig[0] <= 1e-13 * eig[-1]:
+            if ridge == 0.0:
+                raise SingularSystemError(singular)
+            if eig[0] < 0.5 * ridge:
+                sol, _, _, _ = scipy.linalg.lstsq(a, rhs, cond=1e-13,
+                                                  check_finite=False)
+                return sol
     return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
 
 

@@ -7,6 +7,8 @@ per-grid-point ADF sweeps) and frozen here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitar.fracdiff import (
     ADF_CRITICAL_VALUES,
@@ -18,7 +20,7 @@ from multitar.fracdiff import (
     fracdiff_apply,
     fracdiff_weights,
 )
-from multitar.synthetic import generate_arfima_panel
+from multitar.synthetic import fractional_integrate, generate_arfima_panel
 
 
 def direct_filter(x, alpha, n_weights=None):
@@ -205,4 +207,16 @@ def test_integrate_then_difference_is_identity():
     x = np.random.default_rng(14).standard_normal(600)
     z = fractional_integrate(x, 0.3)
     back = fracdiff_apply(z, FracDiffSpec(0.3, 600))
+    np.testing.assert_allclose(back, x, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 1500), alpha=st.floats(0.0, 1.0, exclude_max=True),
+       extra_weights=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+def test_integrate_then_difference_is_identity_property(n, alpha, extra_weights,
+                                                        seed):
+    # any truncation at least the series length keeps every weight in reach
+    x = np.random.default_rng(seed).standard_normal(n)
+    z = fractional_integrate(x, alpha)
+    back = fracdiff_apply(z, FracDiffSpec(alpha, n + extra_weights))
     np.testing.assert_allclose(back, x, atol=1e-9)

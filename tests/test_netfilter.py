@@ -1,12 +1,16 @@
-"""Urn-based edge filtering checked against exact binomial tails."""
+"""Urn-based edge filtering checked against exact binomial and
+Beta-binomial tails."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from multitar.netfilter import (
     WeightedDigraph,
+    _MAX_TERMS,
     hard_threshold_filter,
     polya_filter,
     polya_pvalue,
@@ -18,6 +22,27 @@ def binomial_tail(w, s, k):
     p = 1.0 / k
     return sum(math.comb(s, x) * p ** x * (1.0 - p) ** (s - x)
                for x in range(w, s + 1))
+
+
+def beta_binomial_tail(w, s, k, a):
+    """Oracle: P(X >= w) for X ~ BetaBinomial(s, 1/a, (k - 1)/a) at integer
+    w and s, summed in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        m = 1 / mpmath.mpf(a)
+        b = (k - 1) * m
+        total = mpmath.fsum(mpmath.binomial(s, x) * mpmath.beta(x + m, s - x + b)
+                            for x in range(w, s + 1))
+        return float(total / mpmath.beta(m, b))
+
+
+def urn_sum(w, s, k, m):
+    """Oracle: the finite sum over j < m for real w, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        w, s = mpmath.mpf(w), mpmath.mpf(s)
+        b = mpmath.mpf((k - 1) * m)
+        total = mpmath.fsum(mpmath.rf(b, j) / mpmath.factorial(j)
+                            * mpmath.beta(w + j, s - w + 1 + b) for j in range(m))
+        return float(total / mpmath.beta(w, s - w + 1))
 
 
 class TestPolyaPvalue:
@@ -41,6 +66,18 @@ class TestPolyaPvalue:
         with pytest.raises(ValueError):
             polya_pvalue(1.0, 4.0, 2, -0.5)
 
+    def test_large_integer_inverse_a_takes_the_rule(self, monkeypatch):
+        # 1/a = 1e8 is an integer, but far too many terms to sum; the closed
+        # form is the only path that calls betaln
+        def refuse(*args):
+            raise AssertionError("closed form taken")
+
+        monkeypatch.setattr(special, "betaln", refuse)
+        assert 0.0 < polya_pvalue(10.0, 20.0, 4, 1e-8) < 1.0
+        assert 0.0 < polya_pvalue(10.0, 20.0, 4, 1.0 / (_MAX_TERMS + 1)) < 1.0
+        with pytest.raises(AssertionError, match="closed form"):
+            polya_pvalue(10.0, 20.0, 4, 1.0 / _MAX_TERMS)
+
     def test_small_a_matches_binomial_tail(self):
         for w in range(0, 21):
             got = polya_pvalue(float(w), 20.0, 4, 1e-8)
@@ -50,6 +87,57 @@ class TestPolyaPvalue:
         for w in (1, 5, 10):
             got = polya_pvalue(float(w), 10.0, 2, 0.0)
             assert abs(got - binomial_tail(w, 10, 2)) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_integer_weight_is_the_beta_binomial_tail(self, m):
+        rng = np.random.default_rng(10 + m)
+        for _ in range(40):
+            s = int(rng.integers(1, 101))
+            k = int(rng.integers(2, 101))
+            w = int(rng.integers(1, s + 1))
+            got = polya_pvalue(float(w), float(s), k, 1.0 / m)
+            want = beta_binomial_tail(w, s, k, 1.0 / m)
+            assert abs(got - want) <= 1e-12 * want, (w, s, k, got, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+    def test_real_weight_is_the_finite_sum(self, m):
+        rng = np.random.default_rng(20 + m)
+        for _ in range(30):
+            s = float(rng.uniform(0.01, 100.0))
+            k = int(rng.integers(2, 101))
+            w = float(rng.uniform(0.0, s))
+            got = polya_pvalue(w, s, k, 1.0 / m)
+            want = urn_sum(w, s, k, m)
+            assert abs(got - want) <= 1e-11 * want, (w, s, k, got, want)
+
+    def test_deep_tail_matches_the_mixture_integral(self):
+        # the mixture over the urn share X ~ Beta(1, k - 1), integrated
+        # adaptively; the old 128-node rule gave 1.1e-16 here
+        w, s, k = 45.29, 56.21, 24
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(
+                lambda x: (k - 1) * (1 - x) ** (k - 2)
+                * mpmath.betainc(w, s - w + 1, 0, x, regularized=True), [0, 1]))
+        got = polya_pvalue(w, s, k, 1.0)
+        assert abs(want - 5.0107387187e-12) < 1e-21
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_rule_error_within_its_stated_bound(self):
+        # 1/a not an integer: the 128-node rule, whose docstring states an
+        # absolute error below 3e-5 for s, k <= 200 and 1e-3 <= a <= 20; the
+        # first two cases are the largest errors seen measuring it
+        cases = [(83, 169, 127, 13.446707368964663),
+                 (94, 175, 65, 7.179660447009888)]
+        rng = np.random.default_rng(30)
+        while len(cases) < 40:
+            a = float(np.exp(rng.uniform(math.log(1e-3), math.log(20.0))))
+            s = int(rng.integers(2, 201))
+            k = s if rng.random() < 0.5 else int(rng.integers(2, 201))
+            cases.append((int(rng.integers(1, s + 1)), s, k, a))
+        errors = [abs(polya_pvalue(float(w), float(s), k, a)
+                      - beta_binomial_tail(w, s, k, a))
+                  for w, s, k, a in cases]
+        assert max(errors) < 3e-5
 
     def test_monotone_in_weight(self):
         for a in (0.1, 1.0, 10.0):

@@ -31,7 +31,7 @@ from multitar.pipeline import (
     import_network,
     run_pipeline,
 )
-from multitar import regression
+from multitar import multinet, regression
 from multitar import pipeline as pipeline_module
 from multitar.panel import PanelSeries
 from multitar.pipeline import compute_measures, fit_model
@@ -215,6 +215,21 @@ class TestRunPipeline:
         assert len(calls) == len(small_config.lambda_grid)
         assert info["predicted_r2"] == dict(info["r2_table"])[info["lambda"]]
         assert model.ridge == info["lambda"]
+
+    def test_measures_computed_once_per_run(self, small_panel, small_config,
+                                            monkeypatch):
+        # the graphml and dot writers take the measure row's arrays
+        calls = []
+        for name in ("node_strength", "k_coreness"):
+            real = getattr(multinet, name)
+
+            def counting(net, _name=name, _real=real):
+                calls.append(_name)
+                return _real(net)
+
+            monkeypatch.setattr(multinet, name, counting)
+        run_pipeline(small_config, small_panel[0])
+        assert sorted(calls) == ["k_coreness", "node_strength"]
 
     def test_all_nan_r2_fails_fit_stage(self, tmp_path):
         # squares of the 1e160 test rows overflow, so every R2 is inf / inf

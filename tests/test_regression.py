@@ -89,6 +89,29 @@ class TestClosedForm:
         expected = np.linalg.solve(xc.T @ xc + np.eye(6), xc.T @ yc)
         np.testing.assert_allclose(closed_form_fit(x, y, 1.0), expected, rtol=1e-10)
 
+    def test_badly_scaled_regressors_match_extended_precision(self):
+        # columns at 1e7 next to columns at 1 spread the eigenvalues of
+        # Xc'Xc + I past 1e13, yet the smallest stay well above ridge = 1
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 6)) * np.array([1e7, 1e7, 1e7, 1.0, 1.0, 1.0])
+        y = x[:, 3:] @ rng.standard_normal((3, 2)) + rng.standard_normal((40, 2))
+        eig = np.linalg.eigvalsh(np.cov(x.T, bias=True) * 40 + np.eye(6))
+        assert eig[0] < 1e-13 * eig[-1]
+        with mpmath.workdps(50):
+            xc = mpmath.matrix(x.tolist())
+            yc = mpmath.matrix(y.tolist())
+            for m in (xc, yc):
+                for j in range(m.cols):
+                    mean = mpmath.fsum(m[i, j] for i in range(m.rows)) / m.rows
+                    for i in range(m.rows):
+                        m[i, j] -= mean
+            lhs = xc.T * xc + mpmath.eye(6)
+            expected = mpmath.inverse(lhs) * (xc.T * yc)
+            expected = np.array(expected.tolist(), dtype=float)
+        np.testing.assert_allclose(closed_form_fit(x, y, 1.0), expected,
+                                   rtol=1e-8)
+
     def test_singular_at_zero_ridge(self):
         rng = np.random.default_rng(3)
         col = rng.standard_normal((20, 1))
@@ -241,6 +264,18 @@ class TestAlsFit:
         assert is_non_increasing(report.objective_trace)
         assert report.objective_trace[-1] == pytest.approx(
             raw_objective(x, y, model, 0.0), rel=1e-9)
+
+    def test_nearly_singular_blocks_keep_the_trace_non_increasing(self):
+        # three samples leave the data rank 2, and a Cholesky solve of the
+        # nearly singular factor systems raised the objective by 31%
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((3, 1, 4))
+        y = rng.standard_normal((3, 2, 3))
+        model, report = als_fit(x, y, (1, 3, 1, 3), 1.0,
+                                FitConfig(max_sweeps=25, seed=0))
+        assert is_non_increasing(report.objective_trace)
+        assert report.objective_trace[-1] == pytest.approx(
+            raw_objective(x, y, model, 1.0), rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
