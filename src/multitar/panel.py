@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,9 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
     """
     if on_missing not in ("reject", "ffill"):
         raise ValueError("on_missing must be 'reject' or 'ffill'")
-    cells: dict = {}
+    # per axis: label -> id in order of first appearance; per row: its ids
+    dates, entities, layers = seen = ({}, {}, {})
+    ids, values, row_nos = [], array("d"), array("q")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -91,37 +94,47 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
                 raise ValueError(f"row {row_no}: expected 4 fields, got {len(row)}")
             date, entity, layer, raw = row
             try:
-                value = float(raw)
+                values.append(float(raw))
             except ValueError:
                 raise ValueError(
                     f"row {row_no}: non-numeric value {raw!r}"
                 ) from None
-            key = (date, entity, layer)
-            if key in cells:
-                raise ValueError(f"row {row_no}: duplicate entry for {key}")
-            cells[key] = value
-    if not cells:
+            ids.extend((dates.setdefault(date, len(dates)),
+                        entities.setdefault(entity, len(entities)),
+                        layers.setdefault(layer, len(layers))))
+            row_nos.append(row_no)
+    if not values:
         raise ValueError("panel file contains no data rows")
+    values = np.frombuffer(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"row {row_nos[bad[0]]}: non-finite value {values[bad[0]]}")
 
-    dates = sorted({k[0] for k in cells})
-    entities = sorted({k[1] for k in cells})
-    layers = sorted({k[2] for k in cells})
-    values = np.empty((len(dates), len(entities), len(layers)))
-    n_filled = 0
-    for t, date in enumerate(dates):
-        for i, entity in enumerate(entities):
-            for j, layer in enumerate(layers):
-                key = (date, entity, layer)
-                if key in cells:
-                    values[t, i, j] = cells[key]
-                elif on_missing == "ffill" and t > 0:
-                    values[t, i, j] = values[t - 1, i, j]
-                    n_filled += 1
-                else:
-                    raise ValueError(f"ragged panel: missing {key}")
-    if n_filled:
-        logger.info("forward-filled %d missing panel cells", n_filled)
-    return PanelSeries(dates=dates, entities=entities, layers=layers, values=values)
+    labels, pos = [], []  # per axis: sorted labels, each row's place in them
+    for axis, idx in zip(seen, np.reshape(ids, (-1, 3)).T):
+        labels.append(sorted(axis))
+        # argsort inverts the map from sorted place to first-appearance id
+        pos.append(np.argsort([axis[label] for label in labels[-1]])[idx])
+    cube = np.empty(tuple(map(len, labels)))
+    cells = np.ravel_multi_index(pos, cube.shape)
+    counts = np.bincount(cells, minlength=cube.size)
+    key = lambda cell: tuple(axis[k] for axis, k in zip(
+        labels, np.unravel_index(cell, cube.shape)))
+    if counts.max() > 1:
+        first = np.unique(cells, return_index=True)[1]
+        k = np.setdiff1d(np.arange(cells.size), first)[0]  # earliest repeat
+        raise ValueError(f"row {row_nos[k]}: duplicate entry for {key(cells[k])}")
+    missing = (counts == 0).reshape(cube.shape)
+    fatal = missing if on_missing == "reject" else missing[:1]  # ffill the rest
+    if fatal.any():
+        raise ValueError(f"ragged panel: missing {key(np.argmax(fatal))}")
+
+    cube.reshape(-1)[cells] = values
+    if missing.any():
+        for t in range(1, len(cube)):
+            np.copyto(cube[t], cube[t - 1], where=missing[t])
+        logger.info("forward-filled %d missing panel cells", missing.sum())
+    return PanelSeries(*labels, cube)
 
 
 def export_panel(panel: PanelSeries, path) -> None:

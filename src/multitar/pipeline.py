@@ -272,13 +272,6 @@ def fit_model(panel: PanelSeries, config: PipelineConfig):
     return model, info
 
 
-def build_network(coefficient, labels) -> MultilayerNetwork:
-    """Arrange a fitted coefficient and its ``(entities, layers)`` labels
-    into an unfiltered multilayer network."""
-    entities, layers = labels
-    return multinet.from_coefficient(coefficient, entities, layers)
-
-
 def filter_network(net: MultilayerNetwork, config: PipelineConfig):
     """Filter every block and report kept counts and thresholds per block.
 
@@ -573,7 +566,8 @@ def _fit_row(panel, config):
 
 
 def _build_network_row(fitted, config):
-    return build_network(*fitted), None
+    coefficient, (entities, layers) = fitted
+    return multinet.from_coefficient(coefficient, entities, layers), None
 
 
 def _filter_row(net, config):

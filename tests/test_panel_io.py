@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import random
 import tempfile
 
 import numpy as np
@@ -91,6 +92,54 @@ class TestIngest:
         with pytest.raises(ValueError, match="ragged panel"):
             ingest_csv(f, on_missing="ffill")
 
+    def test_duplicate_names_earliest_repeating_row(self, tmp_path):
+        # two duplicate pairs; the one whose cell sorts first repeats last
+        f = tmp_path / "p.csv"
+        write_rows(f, [
+            "2020-01-01,BBB,price,1.0",
+            "2020-01-01,AAA,price,2.0",
+            "2020-01-01,BBB,price,3.0",
+            "2020-01-01,AAA,price,4.0",
+        ])
+        with pytest.raises(ValueError, match=r"^row 4: duplicate entry for "
+                           r"\('2020-01-01', 'BBB', 'price'\)$"):
+            ingest_csv(f)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_reports_row_number(self, tmp_path, text):
+        f = tmp_path / "p.csv"
+        write_rows(f, [
+            "2020-01-01,AAA,price,1.0",
+            "",
+            f"2020-01-02,AAA,price,{text}",
+        ])
+        with pytest.raises(ValueError, match="^row 4: non-finite value"):
+            ingest_csv(f)
+
+    def test_parse_fault_reported_before_grid_fault(self, tmp_path):
+        f = tmp_path / "p.csv"
+        write_rows(f, [
+            "2020-01-01,AAA,price,1.0",
+            "2020-01-01,AAA,price,2.0",
+            "2020-01-02,AAA,price,abc",
+        ])
+        with pytest.raises(ValueError, match="^row 4: non-numeric"):
+            ingest_csv(f)
+
+    def test_forward_fill_across_consecutive_gaps(self, tmp_path):
+        f = tmp_path / "p.csv"
+        write_rows(f, [
+            "2020-01-03,AAA,price,5.0",
+            "2020-01-01,AAA,price,1.0",
+            "2020-01-01,BBB,price,2.0",
+            "2020-01-02,AAA,price,3.0",
+            "2020-01-04,BBB,price,6.0",
+        ])
+        panel = ingest_csv(f, on_missing="ffill")
+        np.testing.assert_array_equal(panel.values[:, :, 0],
+                                      [[1.0, 2.0], [3.0, 2.0], [5.0, 2.0],
+                                       [5.0, 6.0]])
+
     def test_bad_header(self, tmp_path):
         f = tmp_path / "p.csv"
         write_rows(f, ["2020-01-01,AAA,price,1.0"], header="a,b,c,d")
@@ -141,6 +190,24 @@ class TestExportAnyLabel:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "panel.csv")
             export_panel(panel, path)
+            back = ingest_csv(path)
+        assert (back.dates, back.entities, back.layers) == (
+            panel.dates, panel.entities, panel.layers)
+        assert back.values.tobytes() == panel.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels(), seed=st.integers(0, 2**32 - 1))
+    @example(panel=_AWKWARD, seed=0)
+    def test_shuffled_rows_ingest_alike(self, panel, seed):
+        # labels first appear in shuffled order but still come back sorted
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "panel.csv")
+            export_panel(panel, path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            random.Random(seed).shuffle(rows)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header] + rows)
             back = ingest_csv(path)
         assert (back.dates, back.entities, back.layers) == (
             panel.dates, panel.entities, panel.layers)
