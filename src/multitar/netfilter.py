@@ -166,8 +166,8 @@ def polya_pvalue(w: float, s: float, k: int, a: float) -> float:
         raise ValueError("w and s must be nonnegative")
     if w > s:
         raise ValueError(f"w={w} exceeds total strength s={s}")
-    if a < 0.0:
-        raise ValueError("a must be >= 0")
+    if not 0.0 <= a < math.inf:
+        raise ValueError("a must be finite and >= 0")
     return float(_survival(w, s, float(k), a)[()])
 
 
@@ -195,8 +195,8 @@ def polya_filter(g: WeightedDigraph, a: float, retain_fraction: float) -> Filter
     """
     if g.n_edges == 0:
         raise ValueError("empty graph")
-    if a < 0.0:
-        raise ValueError("a must be >= 0")
+    if not 0.0 <= a < math.inf:
+        raise ValueError("a must be finite and >= 0")
     absw = np.abs(g.weights)
     out_strength = np.bincount(g.sources, weights=absw, minlength=g.n_nodes)
     in_strength = np.bincount(g.targets, weights=absw, minlength=g.n_nodes)

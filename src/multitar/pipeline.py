@@ -87,12 +87,12 @@ class PipelineConfig:
             raise ValueError("filter_method must be 'polya' or 'hard'")
         if not 0.0 < self.retain_fraction <= 1.0:
             raise ValueError("retain_fraction must lie in (0, 1]")
-        if self.filter_a < 0.0:
-            raise ValueError("filter_a must be >= 0")
+        if not 0.0 <= self.filter_a < math.inf:
+            raise ValueError("filter_a must be finite and >= 0")
         if self.lag < 1:
             raise ValueError("lag must be >= 1")
-        if self.log_epsilon < 0.0:
-            raise ValueError("log_epsilon must be >= 0")
+        if not 0.0 <= self.log_epsilon < math.inf:
+            raise ValueError("log_epsilon must be finite and >= 0")
         if self.missing_policy not in ("reject", "ffill"):
             raise ValueError("missing_policy must be 'reject' or 'ffill'")
         object.__setattr__(self, "alpha_grid",
@@ -152,7 +152,6 @@ _BOOL_KEYS = {"overlap_normalized", "log_transform", "drop_burn_in"}
 _INT_KEYS = {"max_sweeps", "lag", "seed"}
 _FLOAT_KEYS = {"adf_level", "train_fraction", "rel_tol", "filter_a",
                "retain_fraction", "log_epsilon"}
-_STR_KEYS = {"filter_method", "missing_policy", "out_dir"}
 
 
 def _parse_config_value(key: str, val: str):
@@ -211,18 +210,14 @@ def prepare_panel(panel: PanelSeries, config: PipelineConfig):
 
     t_len = values.shape[0]
     n_lags = config.adf_lags if config.adf_lags is not None else default_adf_lags(t_len)
-    columns = values.reshape(t_len, -1)
     if config.alpha is not None:
         alpha, source = float(config.alpha), "fixed"
     else:
-        alpha = find_min_alpha(columns, config.alpha_grid,
+        alpha = find_min_alpha(values.reshape(t_len, -1), config.alpha_grid,
                                level=config.adf_level, n_lags=n_lags)
         source = "search"
 
-    spec = FracDiffSpec(alpha=alpha, n_weights=t_len)
-    diff = np.column_stack([fracdiff_apply(columns[:, j], spec)
-                            for j in range(columns.shape[1])])
-    diff = diff.reshape(values.shape)
+    diff = fracdiff_apply(values, FracDiffSpec(alpha=alpha, n_weights=t_len))
 
     n_dropped = 0
     dates = panel.dates

@@ -65,8 +65,8 @@ class FitConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
         grid = tuple(float(v) for v in self.lambda_grid)
-        if any(v < 0.0 for v in grid):
-            raise ValueError("lambda_grid values must be >= 0")
+        if not all(0.0 <= v < math.inf for v in grid):
+            raise ValueError("lambda_grid values must be finite and >= 0")
         object.__setattr__(self, "lambda_grid", grid)
 
 
@@ -97,8 +97,8 @@ class TarModel:
     y_mean: np.ndarray
 
     def __post_init__(self):
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be >= 0")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be finite and >= 0")
         nx = self.x_mean.ndim
         shape = self.coefficient.shape
         if shape[:nx] != self.x_mean.shape or shape[nx:] != self.y_mean.shape:
@@ -210,8 +210,8 @@ def closed_form_fit(x, y, ridge: float) -> np.ndarray:
     makes it the reference for equivalence checks.
     """
     x, y = _check_pair(x, y)
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError("ridge must be finite and >= 0")
     xu = x.reshape(x.shape[0], -1)
     yu = y.reshape(y.shape[0], -1)
     return _ridge_solve(xu - xu.mean(axis=0), yu - yu.mean(axis=0), ridge,
@@ -342,8 +342,8 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
     (TarModel, FitReport)
     """
     x, y = _check_pair(x, y)
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError("ridge must be finite and >= 0")
     config = config or FitConfig()
     n_reg = x.ndim - 1
     dims = x.shape[1:] + y.shape[1:]

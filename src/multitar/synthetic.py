@@ -12,45 +12,36 @@ from __future__ import annotations
 import datetime
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from .fracdiff import _binomial_weights, _causal_filter
 from .panel import PanelSeries
 
 DEFAULT_LAYERS = ("price", "volume", "iv10", "iv30")
 
 
 def fractional_integrate(series, order: float) -> np.ndarray:
-    """Apply the truncated inverse filter ``(1 - L)^-order`` to a 1-D series.
+    """Apply the inverse filter ``(1 - L)^-order`` along axis 0 of a
+    ``(T, ...)`` array, with all ``T`` weights.
 
     Composing with the forward filter of the same order and truncation is
     the exact identity on the observed window.
     """
     x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("series must be 1-D")
+    if x.ndim == 0:
+        raise ValueError("series must have a time axis")
     if not 0.0 <= order < 1.0:
         raise ValueError("order must lie in [0, 1)")
     if order == 0.0:
         return x.copy()
-    t = x.shape[0]
-    w = np.empty(t)
-    w[0] = 1.0
-    if t > 1:
-        k = np.arange(1, t, dtype=np.float64)
-        w[1:] = np.cumprod((k - 1.0 + order) / k)
-    return fftconvolve(x, w)[:t]
+    return _causal_filter(x, _binomial_weights(-order, x.shape[0]))
 
 
 def generate_arfima_panel(n_series: int, n_steps: int, d: float,
                           sigma: float = 1.0, seed: int = 0) -> np.ndarray:
     """(T, n_series) panel of independent ARFIMA(0, d, 0) paths."""
     rng = np.random.default_rng(seed)
-    out = np.empty((n_steps, n_series))
-    for j in range(n_series):
-        out[:, j] = fractional_integrate(
-            sigma * rng.standard_normal(n_steps), d
-        )
-    return out
+    noise = sigma * rng.standard_normal((n_series, n_steps))
+    return fractional_integrate(noise.T, d)
 
 
 def sparse_stable_coefficient(n_entities: int, n_layers: int,
@@ -102,11 +93,8 @@ def generate_tar_panel(n_entities: int = 10, n_layers: int = 4,
     noise = noise_scale * rng.standard_normal((total, p))
     for t in range(1, total):
         state[t] = state[t - 1] @ b_mat + noise[t]
-    state = state[burn_in:]
 
-    levels = np.empty_like(state)
-    for j in range(p):
-        levels[:, j] = fractional_integrate(state[:, j], integration_order)
+    levels = fractional_integrate(state[burn_in:], integration_order)
     values = np.exp(levels).reshape(n_steps, n_entities, n_layers)
 
     start = datetime.date(2001, 1, 1)

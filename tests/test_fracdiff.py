@@ -5,6 +5,10 @@ oracles (direct time-domain convolution, generalized binomial recursion,
 per-grid-point ADF sweeps) and frozen here.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from multitar.fracdiff import (
     fracdiff_apply,
     fracdiff_weights,
 )
+import multitar
 from multitar.synthetic import fractional_integrate, generate_arfima_panel
 
 
@@ -220,3 +225,58 @@ def test_integrate_then_difference_is_identity_property(n, alpha, extra_weights,
     z = fractional_integrate(x, alpha)
     back = fracdiff_apply(z, FracDiffSpec(alpha, n + extra_weights))
     np.testing.assert_allclose(back, x, atol=1e-9)
+
+
+def stacked(fn, x):
+    """Oracle: ``fn`` applied to each trailing position of ``x`` as a 1-D
+    series, stacked back into the shape of ``x``."""
+    cols = x.reshape(x.shape[0], -1)
+    out = np.stack([fn(cols[:, j]) for j in range(cols.shape[1])], axis=1)
+    return out.reshape(x.shape)
+
+
+class TestTimeAxis:
+    """Both filters run along axis 0 of a (T, ...) array, column by column."""
+
+    @pytest.mark.parametrize("shape", [(300, 5), (300, 3, 4)])
+    @pytest.mark.parametrize("alpha,n_weights",
+                             [(0.0, 300), (0.3, 300), (1.0, 300), (0.3, 40)])
+    def test_fracdiff_apply_equals_stacked_series(self, shape, alpha, n_weights):
+        x = np.random.default_rng(21).standard_normal(shape)
+        spec = FracDiffSpec(alpha, n_weights)
+        np.testing.assert_array_equal(
+            fracdiff_apply(x, spec), stacked(lambda c: fracdiff_apply(c, spec), x)
+        )
+
+    @pytest.mark.parametrize("shape", [(300, 5), (300, 3, 4)])
+    @pytest.mark.parametrize("order", [0.0, 0.3, 0.45])
+    def test_fractional_integrate_equals_stacked_series(self, shape, order):
+        x = np.random.default_rng(22).standard_normal(shape)
+        np.testing.assert_array_equal(
+            fractional_integrate(x, order),
+            stacked(lambda c: fractional_integrate(c, order), x),
+        )
+
+    def test_arfima_panel_draws_one_series_after_another(self):
+        # column j integrates the j-th run of n_steps innovations
+        rng = np.random.default_rng(25)
+        draws = [1.5 * rng.standard_normal(200) for _ in range(4)]
+        np.testing.assert_array_equal(
+            generate_arfima_panel(4, 200, 0.3, sigma=1.5, seed=25),
+            np.column_stack([fractional_integrate(e, 0.3) for e in draws]),
+        )
+
+    def test_zero_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="time axis"):
+            fracdiff_apply(2.0, FracDiffSpec(0.3, 4))
+        with pytest.raises(ValueError, match="time axis"):
+            fractional_integrate(2.0, 0.3)
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal takes about a second to import and nothing here needs it
+    src = os.path.dirname(os.path.dirname(multitar.__file__))
+    code = ("import sys, multitar, multitar.cli; "
+            "sys.exit('scipy.signal' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -66,6 +66,14 @@ class TestPolyaPvalue:
         with pytest.raises(ValueError):
             polya_pvalue(1.0, 4.0, 2, -0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_a_rejected(self, bad):
+        with pytest.raises(ValueError, match="a must be finite"):
+            polya_pvalue(1.0, 4.0, 2, bad)
+        g = WeightedDigraph(3, [0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="a must be finite"):
+            polya_filter(g, bad, 0.5)
+
     def test_large_integer_inverse_a_takes_the_rule(self, monkeypatch):
         # 1/a = 1e8 is an integer, but far too many terms to sum; the closed
         # form is the only path that calls betaln

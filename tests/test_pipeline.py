@@ -119,6 +119,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(filter_method="mst")
 
+    @pytest.mark.parametrize("key,value", [
+        ("filter_a", float("nan")), ("filter_a", float("inf")),
+        ("log_epsilon", float("nan")), ("log_epsilon", float("inf")),
+        ("lambda_grid", (0.0, float("nan"))), ("lambda_grid", (float("inf"),)),
+    ])
+    def test_non_finite_knob_rejected(self, key, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            PipelineConfig(**{key: value})
+
+    def test_apply_filter_rejects_non_finite_a(self):
+        rng = np.random.default_rng(24)
+        net = from_coefficient(rng.standard_normal((3, 2, 3, 2)),
+                               ["a", "b", "c"], ["x", "y"])
+        with pytest.raises(ValueError, match="a must be finite"):
+            apply_filter(net, method="polya", a=float("nan"))
+
     def test_resolved_lists_every_field(self):
         import dataclasses
 

@@ -1,5 +1,6 @@
 """ALS fits checked against the closed-form ridge oracle and simulations."""
 
+import dataclasses
 import logging
 import math
 
@@ -616,3 +617,18 @@ def test_fit_config_validation():
         FitConfig(train_fraction=1.0)
     with pytest.raises(ValueError):
         FitConfig(lambda_grid=(-1.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_ridge_rejected(bad):
+    x, y = build_lagged_pairs(
+        np.random.default_rng(23).standard_normal((40, 3, 2)), lag=1)
+    with pytest.raises(ValueError, match="lambda_grid values must be finite"):
+        FitConfig(lambda_grid=(1.0, bad))
+    with pytest.raises(ValueError, match="ridge must be finite"):
+        als_fit(x, y, ranks="full", ridge=bad)
+    with pytest.raises(ValueError, match="ridge must be finite"):
+        closed_form_fit(x, y, ridge=bad)
+    model, _ = als_fit(x, y, ranks="full", ridge=1.0)
+    with pytest.raises(ValueError, match="ridge must be finite"):
+        dataclasses.replace(model, ridge=bad)
