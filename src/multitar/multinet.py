@@ -93,26 +93,20 @@ def from_coefficient(b, entity_labels, layer_labels) -> MultilayerNetwork:
 
 def apply_filter(net: MultilayerNetwork, method: str = "polya",
                  retain_fraction: float = 0.1, a: float = 1.0) -> MultilayerNetwork:
-    """Filter every layer-pair block as an independent weighted digraph.
+    """Filter every layer-pair block as an independent complete digraph, the
+    whole block grid in one call.
 
     Self-loops on the block diagonal participate like any other edge.
     Returns a new network with updated keep masks and p-values.
     """
     if method not in ("polya", "hard"):
         raise ValueError(f"method must be 'polya' or 'hard', got {method!r}")
-    n_l, n_e = net.n_layers, net.n_entities
-    kept = np.zeros_like(net.kept)
-    pv = np.full_like(net.p_values, np.nan)
-    for j in range(n_l):
-        for l in range(n_l):
-            g = netfilter.WeightedDigraph.from_dense(net.blocks[j, l])
-            if method == "polya":
-                res = netfilter.polya_filter(g, a, retain_fraction)
-            else:
-                res = netfilter.hard_threshold_filter(g, retain_fraction)
-            kept[j, l] = res.kept.reshape(n_e, n_e)
-            pv[j, l] = res.p_values.reshape(n_e, n_e)
-    return replace(net, kept=kept, p_values=pv)
+    g = netfilter.WeightedDigraph(net.blocks)
+    if method == "polya":
+        res = netfilter.polya_filter(g, a, retain_fraction)
+    else:
+        res = netfilter.hard_threshold_filter(g, retain_fraction)
+    return replace(net, kept=res.kept, p_values=res.p_values)
 
 
 def assortativity_matrix(net: MultilayerNetwork) -> LayerMatrix:

@@ -1,5 +1,11 @@
 """Statistical sparsification of dense directed weighted networks.
 
+A :class:`WeightedDigraph` is a stack of complete digraphs: every entry of
+each trailing ``n x n`` weight matrix, zeros and self-loops included, is an
+edge, so every node's in- and out-degree is ``n``.  One call filters the
+whole stack, each matrix independently, so a multilayer network's
+``(L, L, n, n)`` block grid is filtered at once.
+
 Each edge is scored under a Polya urn null (Marcaccioli & Livan 2019): a
 node with degree ``k`` and total incident strength ``s`` allocates weight
 across its edges by a reinforced urn with parameter ``a``.  The survival
@@ -40,61 +46,37 @@ _QUAD_NODES, _QUAD_WEIGHTS = 0.5 * (_QUAD_NODES + 1.0), 0.5 * _QUAD_WEIGHTS
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Directed weighted graph over integer node ids ``0..n_nodes-1``.
+    """Stack of complete directed weighted graphs on ``n`` nodes.
 
-    Parallel arrays hold one edge per entry; duplicate (source, target)
-    pairs are rejected and weights may be negative (the filters act on
-    magnitudes).
+    ``weights[..., i, k]`` is the edge from node ``i`` to node ``k`` of one
+    trailing ``n x n`` matrix.  Every entry is an edge, zeros and the
+    diagonal included, so every node has in- and out-degree ``n``; weights
+    may be negative (the filters act on magnitudes).
     """
 
-    n_nodes: int
-    sources: np.ndarray
-    targets: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        src = np.asarray(self.sources, dtype=np.int64)
-        tgt = np.asarray(self.targets, dtype=np.int64)
-        wts = np.asarray(self.weights, dtype=np.float64)
-        if not (src.shape == tgt.shape == wts.shape) or src.ndim != 1:
-            raise ValueError("sources, targets, weights must be 1-D and aligned")
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
-        if src.size and (src.min() < 0 or src.max() >= self.n_nodes
-                         or tgt.min() < 0 or tgt.max() >= self.n_nodes):
-            raise ValueError("edge endpoint out of range")
-        if not np.all(np.isfinite(wts)):
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
+            raise ValueError(f"weights must have shape (..., n, n), got {w.shape}")
+        if w.size == 0:
+            raise ValueError("empty graph")
+        if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        keys = src * self.n_nodes + tgt
-        if np.unique(keys).size != keys.size:
-            raise ValueError("duplicate (source, target) edge")
-        object.__setattr__(self, "sources", src)
-        object.__setattr__(self, "targets", tgt)
-        object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "weights", w)
 
     @property
     def n_edges(self) -> int:
-        return int(self.sources.size)
-
-    @classmethod
-    def from_dense(cls, matrix) -> "WeightedDigraph":
-        """All ordered pairs (including the diagonal) of a square weight matrix."""
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        n = m.shape[0]
-        src, tgt = np.divmod(np.arange(n * n), n)
-        return cls(n_nodes=n, sources=src, targets=tgt, weights=m.reshape(-1))
+        return int(self.weights.size)
 
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Per-edge p-values and keep mask, aligned with the input edge order."""
+    """Per-edge p-values and keep mask, shaped like the filtered weights."""
 
     p_values: np.ndarray
     kept: np.ndarray
-    threshold_used: float
-    method: str
 
 
 def _survival(w, s, k, a) -> np.ndarray:
@@ -146,9 +128,11 @@ def _survival(w, s, k, a) -> np.ndarray:
             total += term
         out[active] = np.minimum(total, 1.0)
         return out
-    shares = special.betaincinv(m, b[:, None], _QUAD_NODES)
-    tails = special.betainc(wa[:, None], sa[:, None] - wa[:, None] + 1.0, shares)
-    out[active] = np.clip(tails @ _QUAD_WEIGHTS, 0.0, 1.0)
+    total = np.zeros(wa.shape)
+    for node, weight in zip(_QUAD_NODES, _QUAD_WEIGHTS):
+        share = special.betaincinv(m, b, node)
+        total += weight * special.betainc(wa, sa - wa + 1.0, share)
+    out[active] = np.clip(total, 0.0, 1.0)
     return out
 
 
@@ -171,69 +155,56 @@ def polya_pvalue(w: float, s: float, k: int, a: float) -> float:
     return float(_survival(w, s, float(k), a)[()])
 
 
-def _keep_count(n_edges: int, retain_fraction: float) -> int:
+def _rank_and_keep(keys, retain_fraction: float) -> np.ndarray:
+    """Keep mask of the first ``ceil(retain_fraction * n * n)`` edges of each
+    trailing matrix in the order of ``keys`` (last key primary).  The sort
+    is stable, so ties fall to (source, target) order."""
     if not 0.0 < retain_fraction <= 1.0:
         raise ValueError("retain_fraction must lie in (0, 1]")
-    return min(n_edges, math.ceil(retain_fraction * n_edges))
-
-
-def _rank_and_keep(order_keys, n_edges: int, retain_fraction: float):
-    order = np.lexsort(order_keys)
-    n_keep = _keep_count(n_edges, retain_fraction)
-    kept = np.zeros(n_edges, dtype=bool)
-    kept[order[:n_keep]] = True
-    return kept, order[n_keep - 1]
+    shape = keys[0].shape
+    flat = [key.reshape(*shape[:-2], -1) for key in keys]
+    n_keep = math.ceil(retain_fraction * flat[0].shape[-1])
+    order = np.lexsort(flat, axis=-1)
+    kept = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(kept, order[..., :n_keep], True, axis=-1)
+    return kept.reshape(shape)
 
 
 def polya_filter(g: WeightedDigraph, a: float, retain_fraction: float) -> FilterResult:
-    """Keep the ``retain_fraction`` of edges with the smallest urn p-values.
+    """Keep the ``retain_fraction`` of edges with the smallest urn p-values
+    in each trailing matrix of ``g``.
 
     Each edge is scored from both endpoints - against the source's
-    out-strength/out-degree and the target's in-strength/in-degree, on
+    out-strength and the target's in-strength, each over ``n`` edges, on
     absolute weights rescaled to shares - and takes the smaller p-value.
     Ties break toward larger magnitude, then (source, target) order.
     """
-    if g.n_edges == 0:
-        raise ValueError("empty graph")
     if not 0.0 <= a < math.inf:
         raise ValueError("a must be finite and >= 0")
     absw = np.abs(g.weights)
-    out_strength = np.bincount(g.sources, weights=absw, minlength=g.n_nodes)
-    in_strength = np.bincount(g.targets, weights=absw, minlength=g.n_nodes)
-    out_degree = np.bincount(g.sources, minlength=g.n_nodes).astype(np.float64)
-    in_degree = np.bincount(g.targets, minlength=g.n_nodes).astype(np.float64)
-
-    p_src = _endpoint_pvalues(absw, out_strength[g.sources], out_degree[g.sources], a)
-    p_tgt = _endpoint_pvalues(absw, in_strength[g.targets], in_degree[g.targets], a)
-    p = np.minimum(p_src, p_tgt)
-
-    kept, last = _rank_and_keep((g.targets, g.sources, -absw, p), g.n_edges,
-                                retain_fraction)
-    return FilterResult(p_values=p, kept=kept, threshold_used=float(p[last]),
-                        method="polya")
+    n = float(absw.shape[-1])
+    # sequential sums in (source, target) order; sum(axis=-1) is pairwise
+    out_strength = np.cumsum(absw, axis=-1)[..., -1:]
+    in_strength = absw.sum(axis=-2, keepdims=True)
+    p = np.minimum(_endpoint_pvalues(absw, out_strength, n, a),
+                   _endpoint_pvalues(absw, in_strength, n, a))
+    return FilterResult(p_values=p,
+                        kept=_rank_and_keep((-absw, p), retain_fraction))
 
 
-def _endpoint_pvalues(absw, strength, degree, a):
+def _endpoint_pvalues(absw, strength, n, a):
     # Weights enter as shares of the endpoint strength scaled to its degree,
     # so multiplying a node's weights by a constant cannot move its p-values.
-    shares = np.zeros_like(absw)
-    pos = strength > 0.0
-    shares[pos] = np.minimum(absw[pos] / strength[pos], 1.0) * degree[pos]
-    return _survival(shares, degree, degree, a)
+    shares = np.divide(absw, strength, out=np.zeros_like(absw),
+                       where=strength > 0.0)
+    return _survival(np.minimum(shares, 1.0) * n, n, n, a)
 
 
 def hard_threshold_filter(g: WeightedDigraph, retain_fraction: float) -> FilterResult:
-    """Keep the ``retain_fraction`` of edges with the largest magnitudes;
-    ties break by (source, target) order.  P-values are not defined for this
-    method and are reported as NaN."""
-    if g.n_edges == 0:
-        raise ValueError("empty graph")
-    absw = np.abs(g.weights)
-    kept, last = _rank_and_keep((g.targets, g.sources, -absw), g.n_edges,
-                                retain_fraction)
+    """Keep the ``retain_fraction`` of edges with the largest magnitudes in
+    each trailing matrix of ``g``; ties break by (source, target) order.
+    P-values are not defined for this method and are reported as NaN."""
     return FilterResult(
-        p_values=np.full(g.n_edges, np.nan),
-        kept=kept,
-        threshold_used=float(absw[last]),
-        method="hard_threshold",
+        p_values=np.full(g.weights.shape, np.nan),
+        kept=_rank_and_keep((-np.abs(g.weights),), retain_fraction),
     )

@@ -17,6 +17,7 @@ import math
 import os
 import re
 import xml.etree.ElementTree as ET
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -344,61 +345,64 @@ def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
 
 def import_network(path) -> MultilayerNetwork:
     """Rebuild a network from its edge CSV; the grid must hold every edge
-    exactly once.  Labels keep their order of first appearance in the file."""
+    exactly once.  Labels keep their order of first appearance in the file.
+    A fault in a row (field count, unparsable field) is reported before a
+    fault in the grid (a repeated or missing edge)."""
+    entities, layers = {}, {}  # label -> id in order of first appearance
+    # per row: its (src layer, dst layer, src entity, dst entity) ids
+    ids, row_nos = [], array("q")
+    weights, p_values, kept = columns = array("d"), array("d"), array("b")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != NETWORK_HEADER:
             raise ValueError(f"unexpected network CSV header: {header!r}")
-        rows = [(row_no, *row) for row_no, row in enumerate(reader, start=2) if row]
-    if not rows:
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 7:
+                raise ValueError(f"row {row_no}: expected 7 fields")
+            try:
+                weights.append(float(row[4]))
+                p_values.append(float(row[5]))
+                kept.append(_parse_kept(row[6]))
+            except ValueError as exc:
+                # the fields of this row already appended name the failing one
+                parsed = sum(map(len, columns)) - 3 * len(row_nos)
+                raise ValueError(f"row {row_no}, column "
+                                 f"{NETWORK_HEADER[4 + parsed]}: {exc}") from None
+            ids.extend((layers.setdefault(row[1], len(layers)),
+                        layers.setdefault(row[3], len(layers)),
+                        entities.setdefault(row[0], len(entities)),
+                        entities.setdefault(row[2], len(entities))))
+            row_nos.append(row_no)
+    if not row_nos:
         raise ValueError("network CSV contains no edges")
-    bad = next((row for row in rows if len(row) != 8), None)
-    if bad:
-        raise ValueError(f"row {bad[0]}: expected 7 fields")
-    # a row is (row number, src, src layer, dst, dst layer, weight, p, kept)
-    entities = list(dict.fromkeys(r[c] for r in rows for c in (1, 3)))
-    layers = list(dict.fromkeys(r[c] for r in rows for c in (2, 4)))
-    e_idx = {e: i for i, e in enumerate(entities)}
-    l_idx = {l: i for i, l in enumerate(layers)}
+    entities, layers = list(entities), list(layers)
     shape = (len(layers), len(layers), len(entities), len(entities))
-    cells = np.ravel_multi_index([[idx[r[c]] for r in rows] for idx, c in (
-        (l_idx, 2), (l_idx, 4), (e_idx, 1), (e_idx, 3))], shape)
+    cells = np.ravel_multi_index(np.reshape(ids, (-1, 4)).T, shape)
     counts = np.bincount(cells, minlength=math.prod(shape))
     if counts.max() > 1:
         dup = int(np.setdiff1d(np.arange(cells.size),
                                np.unique(cells, return_index=True)[1])[0])
-        raise ValueError(f"row {rows[dup][0]}: duplicate of the edge in row "
-                         f"{rows[int(np.argmax(cells == cells[dup]))][0]}")
+        raise ValueError(f"row {row_nos[dup]}: duplicate of the edge in row "
+                         f"{row_nos[int(np.argmax(cells == cells[dup]))]}")
     if counts.min() == 0:
         j, l, i, m = np.unravel_index(int(np.argmin(counts)), shape)
         raise ValueError(
             f"incomplete edge grid: no row for the edge from ({entities[i]!r}, "
             f"{layers[j]!r}) to ({entities[m]!r}, {layers[l]!r})")
-    order = np.argsort(cells)  # the rows in grid order
-    blocks, pv, kept = (np.array(_parse_column(rows, c, parse))[order].reshape(shape)
-                        for c, parse in ((5, float), (6, float), (7, _parse_kept)))
+    blocks, pv, mask = grids = [np.empty(shape, t) for t in (float, float, bool)]
+    for grid, column in zip(grids, columns):
+        grid.reshape(-1)[cells] = column
     return MultilayerNetwork(entity_labels=entities, layer_labels=layers,
-                             blocks=blocks, kept=kept, p_values=pv)
+                             blocks=blocks, kept=mask, p_values=pv)
 
 
 def _parse_kept(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
     return text == "true"
-
-
-def _parse_column(rows, c: int, parse) -> list:
-    """Field ``c`` of every row through ``parse``; an error names the row and
-    the column."""
-    values = []
-    try:
-        for row in rows:
-            values.append(parse(row[c]))
-    except ValueError as exc:
-        raise ValueError(f"row {row[0]}, column {NETWORK_HEADER[c - 1]}: "
-                         f"{exc}") from None
-    return values
 
 
 def _node_id(entity: str, layer: str) -> str:

@@ -60,8 +60,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and > 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
         grid = tuple(float(v) for v in self.lambda_grid)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multitar import netfilter
 from multitar.multinet import (
     MultilayerNetwork,
     apply_filter,
@@ -177,6 +178,24 @@ class TestApplyFilter:
         assert np.isfinite(filtered.p_values).all()
         filtered_hard = apply_filter(net, method="hard", retain_fraction=0.5)
         assert np.isnan(filtered_hard.p_values).all()
+
+    @pytest.mark.parametrize("method", ["polya", "hard"])
+    def test_one_filter_call_for_the_whole_grid(self, method, monkeypatch):
+        calls = []
+        for name in ("polya_filter", "hard_threshold_filter"):
+            real = getattr(netfilter, name)
+
+            def counting(g, *args, name=name, real=real):
+                calls.append((name, g.weights.shape))
+                return real(g, *args)
+
+            monkeypatch.setattr(netfilter, name, counting)
+        rng = np.random.default_rng(7)
+        net = from_coefficient(rng.standard_normal((5, 3, 5, 3)),
+                               list("abcde"), list("xyz"))
+        apply_filter(net, method=method, retain_fraction=0.2)
+        name = "polya_filter" if method == "polya" else "hard_threshold_filter"
+        assert calls == [(name, (3, 3, 5, 5))]
 
     def test_unknown_method(self):
         net = from_coefficient(np.zeros((2, 2, 2, 2)), list("ab"), list("xy"))

@@ -6,6 +6,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from multitar.netfilter import (
@@ -70,7 +73,7 @@ class TestPolyaPvalue:
     def test_non_finite_a_rejected(self, bad):
         with pytest.raises(ValueError, match="a must be finite"):
             polya_pvalue(1.0, 4.0, 2, bad)
-        g = WeightedDigraph(3, [0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0])
+        g = WeightedDigraph([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="a must be finite"):
             polya_filter(g, bad, 0.5)
 
@@ -164,106 +167,124 @@ class TestPolyaPvalue:
 
 
 class TestWeightedDigraph:
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            WeightedDigraph(3, [0, 0], [1, 1], [1.0, 2.0])
-
-    def test_endpoint_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            WeightedDigraph(2, [0], [2], [1.0])
-
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            WeightedDigraph(2, [0], [1], [np.inf])
+            WeightedDigraph([[0.0, np.inf], [0.0, 0.0]])
 
-    def test_from_dense_enumerates_all_pairs(self):
+    def test_every_entry_is_an_edge(self):
         m = np.arange(9.0).reshape(3, 3)
-        g = WeightedDigraph.from_dense(m)
+        g = WeightedDigraph(m)
         assert g.n_edges == 9
-        np.testing.assert_array_equal(g.weights.reshape(3, 3), m)
+        np.testing.assert_array_equal(g.weights, m)
+        assert WeightedDigraph(np.zeros((2, 3, 4, 4))).n_edges == 96
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2), (0, 0),
+                                       (2, 0, 0), (0, 3, 3)])
+    def test_non_square_or_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape|empty"):
+            WeightedDigraph(np.zeros(shape))
 
 
 def complete_digraph(n, weight=1.0):
+    """Equal weights on every ordered pair of distinct nodes; the zero
+    diagonal is n more edges."""
     m = np.full((n, n), weight)
     np.fill_diagonal(m, 0.0)
-    src, tgt = np.nonzero(m)
-    return WeightedDigraph(n, src, tgt, m[src, tgt])
+    return WeightedDigraph(m)
+
+
+def kept_pairs(res):
+    return [tuple(int(v) for v in ik) for ik in np.argwhere(res.kept)]
 
 
 class TestPolyaFilter:
     def test_equal_weights_keep_by_tie_break(self):
-        g = complete_digraph(5)
+        g = complete_digraph(5)  # 25 edges, 20 of weight 1
         res = polya_filter(g, a=1.0, retain_fraction=0.1)
-        assert res.kept.sum() == 2
-        # all p equal, all |w| equal: lexicographic (source, target) wins
-        kept_edges = sorted(zip(g.sources[res.kept], g.targets[res.kept]))
-        assert kept_edges == [(0, 1), (0, 2)]
-        assert np.allclose(res.p_values, res.p_values[0])
+        assert res.kept.sum() == 3
+        # all off-diagonal p equal, all |w| equal: (source, target) order wins
+        assert kept_pairs(res) == [(0, 1), (0, 2), (0, 3)]
+        off_diagonal = res.p_values[~np.eye(5, dtype=bool)]
+        assert np.allclose(off_diagonal, off_diagonal[0])
+        assert np.all(np.diag(res.p_values) == 1.0)
 
     def test_dominant_star_edge_has_strictly_smallest_pvalue(self):
-        # hub 0 sends 99% of its strength down one edge
-        n_leaves = 6
-        weights = [99.0] + [1.0 / (n_leaves - 1)] * (n_leaves - 1)
-        g = WeightedDigraph(
-            n_leaves + 1,
-            [0] * n_leaves,
-            list(range(1, n_leaves + 1)),
-            weights,
-        )
-        res = polya_filter(g, a=1.0, retain_fraction=1.0 / n_leaves)
-        assert res.p_values[0] < res.p_values[1:].min()
-        assert res.kept[0] and res.kept[1:].sum() == 0
+        # hub 0 sends 99% of its strength down one edge; the other nodes send
+        # unit weights everywhere, so no leaf's in-view alone singles out its
+        # hub edge (a leaf whose only nonzero in-edge came from the hub would
+        # give every hub edge the same smallest p-value)
+        n = 7
+        w = np.ones((n, n))
+        np.fill_diagonal(w, 0.0)
+        w[0, 1:] = [99.0] + [0.2] * (n - 2)
+        res = polya_filter(WeightedDigraph(w), a=1.0, retain_fraction=1.0 / n ** 2)
+        others = np.ones((n, n), dtype=bool)
+        others[0, 1] = False
+        assert res.p_values[0, 1] < res.p_values[others].min()
+        assert kept_pairs(res) == [(0, 1)]
 
     def test_retain_all(self):
         g = complete_digraph(4)
         res = polya_filter(g, a=1.0, retain_fraction=1.0)
         assert res.kept.all()
-        assert res.method == "polya"
+        assert res.kept.shape == res.p_values.shape == (4, 4)
 
     def test_retention_accuracy(self):
         rng = np.random.default_rng(1)
-        g = WeightedDigraph.from_dense(rng.lognormal(0, 1, (9, 9)))
+        g = WeightedDigraph(rng.lognormal(0, 1, (9, 9)))
         for frac in (0.07, 0.25, 0.5, 0.99):
             res = polya_filter(g, a=1.0, retain_fraction=frac)
             assert abs(res.kept.sum() / g.n_edges - frac) <= 1.0 / g.n_edges
 
     def test_kept_pvalues_below_threshold(self):
+        # the largest kept p-value is the block's threshold; no dropped edge
+        # lies below it
         rng = np.random.default_rng(2)
-        g = WeightedDigraph.from_dense(rng.lognormal(0, 1.5, (7, 7)))
+        g = WeightedDigraph(rng.lognormal(0, 1.5, (7, 7)))
         res = polya_filter(g, a=1.0, retain_fraction=0.3)
-        assert np.all(res.p_values[res.kept] <= res.threshold_used)
+        assert res.p_values[res.kept].max() <= res.p_values[~res.kept].min()
 
     def test_global_rescaling_leaves_pvalues_unchanged(self):
         rng = np.random.default_rng(3)
         w = rng.lognormal(0, 1, (8, 8)) * rng.choice((-1.0, 1.0), (8, 8))
-        base = polya_filter(WeightedDigraph.from_dense(w), 1.0, 0.5)
+        base = polya_filter(WeightedDigraph(w), 1.0, 0.5)
         for c in (1e-6, 3.7, 1e8):
-            scaled = polya_filter(WeightedDigraph.from_dense(c * w), 1.0, 0.5)
+            scaled = polya_filter(WeightedDigraph(c * w), 1.0, 0.5)
             np.testing.assert_allclose(scaled.p_values, base.p_values, atol=1e-10)
             np.testing.assert_array_equal(scaled.kept, base.kept)
 
     def test_star_source_rescaling_invariance(self):
-        # each target has a single in-edge, so the min over endpoints is the
-        # hub's share-based p-value and scaling the hub's edges cannot move it
-        weights = np.array([5.0, 1.0, 0.25, 0.25])
-        g1 = WeightedDigraph(5, [0, 0, 0, 0], [1, 2, 3, 4], weights)
-        g2 = WeightedDigraph(5, [0, 0, 0, 0], [1, 2, 3, 4], 123.0 * weights)
-        r1 = polya_filter(g1, 1.0, 0.5)
-        r2 = polya_filter(g2, 1.0, 0.5)
+        # each target's only nonzero in-edge comes from the hub, so its
+        # in-view share is whole whatever the scale, and the hub's out-view
+        # is share-based: scaling the hub's edges cannot move a p-value
+        w = np.zeros((5, 5))
+        w[0, 1:] = [5.0, 1.0, 0.25, 0.25]
+        r1 = polya_filter(WeightedDigraph(w), 1.0, 0.5)
+        r2 = polya_filter(WeightedDigraph(123.0 * w), 1.0, 0.5)
         np.testing.assert_allclose(r1.p_values, r2.p_values, atol=1e-10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal((6, 6))
-        r1 = polya_filter(WeightedDigraph.from_dense(w), 2.0, 0.2)
-        r2 = polya_filter(WeightedDigraph.from_dense(w), 2.0, 0.2)
+        r1 = polya_filter(WeightedDigraph(w), 2.0, 0.2)
+        r2 = polya_filter(WeightedDigraph(w), 2.0, 0.2)
         np.testing.assert_array_equal(r1.kept, r2.kept)
         np.testing.assert_array_equal(r1.p_values, r2.p_values)
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0, 2.0])
+    def test_equal_inputs_give_equal_pvalues(self, a):
+        # every edge of an all-ones matrix has the same share, strength and
+        # degree at both endpoints, so it must get the same p-value; the
+        # ranking then falls to (source, target) order
+        for n in (2, 3, 5, 7, 10):
+            res = polya_filter(WeightedDigraph(np.ones((n, n))), a, 0.5)
+            assert np.unique(res.p_values).size == 1
+            assert kept_pairs(res) == [divmod(e, n) for e in
+                                       range(math.ceil(0.5 * n * n))]
+
     def test_empty_graph_rejected(self):
-        g = WeightedDigraph(2, [], [], [])
         with pytest.raises(ValueError, match="empty"):
-            polya_filter(g, 1.0, 0.5)
+            polya_filter(WeightedDigraph(np.zeros((0, 0))), 1.0, 0.5)
 
     def test_bad_retain_fraction(self):
         g = complete_digraph(3)
@@ -275,35 +296,64 @@ class TestPolyaFilter:
 
 class TestHardThreshold:
     def test_top_magnitudes_kept(self):
-        g = WeightedDigraph(10, list(range(10)), [(i + 1) % 10 for i in range(10)],
-                            [float(v) for v in range(1, 11)])
-        res = hard_threshold_filter(g, 0.3)
-        assert sorted(g.weights[res.kept]) == [8.0, 9.0, 10.0]
-        assert res.threshold_used == 8.0
-        assert res.method == "hard_threshold"
+        # a ring 0 -> 1 -> ... -> 9 -> 0 with weights 1..10, zeros elsewhere
+        w = np.zeros((10, 10))
+        w[np.arange(10), (np.arange(10) + 1) % 10] = np.arange(1.0, 11.0)
+        res = hard_threshold_filter(WeightedDigraph(w), 0.03)
+        assert sorted(w[res.kept]) == [8.0, 9.0, 10.0]
+        assert np.abs(w[res.kept]).min() == 8.0
 
     def test_all_equal_weights_half_kept_by_tie_break(self):
-        g = complete_digraph(4)  # 12 edges
+        g = complete_digraph(4)  # 16 edges, 12 of weight 1
         res = hard_threshold_filter(g, 0.5)
-        assert res.kept.sum() == 6
-        kept_edges = sorted(zip(g.sources[res.kept], g.targets[res.kept]))
-        assert kept_edges == [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3)]
+        assert res.kept.sum() == 8
+        assert kept_pairs(res) == [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2),
+                                   (1, 3), (2, 0), (2, 1)]
 
     def test_matches_sort_oracle_with_negative_weights(self):
+        # a ring of 40 nodes, zeros elsewhere; the 160 kept edges are the 40
+        # ring edges and then zero edges in (source, target) order
         rng = np.random.default_rng(5)
-        w = rng.standard_normal(40)
-        g = WeightedDigraph(40, np.arange(40), (np.arange(40) + 1) % 40, w)
-        res = hard_threshold_filter(g, 0.1)
-        expected = set(np.argsort(-np.abs(w), kind="stable")[:4])
-        assert set(np.flatnonzero(res.kept)) == expected
+        w = np.zeros((40, 40))
+        w[np.arange(40), (np.arange(40) + 1) % 40] = rng.standard_normal(40)
+        res = hard_threshold_filter(WeightedDigraph(w), 0.1)
+        expected = np.argsort(-np.abs(w.ravel()), kind="stable")[:160]
+        assert set(np.flatnonzero(res.kept)) == set(expected)
 
     def test_pvalues_are_nan(self):
         res = hard_threshold_filter(complete_digraph(3), 0.5)
+        assert res.p_values.shape == (3, 3)
         assert np.isnan(res.p_values).all()
 
     def test_retention_accuracy(self):
         rng = np.random.default_rng(6)
-        g = WeightedDigraph.from_dense(rng.standard_normal((8, 8)))
+        g = WeightedDigraph(rng.standard_normal((8, 8)))
         for frac in (0.05, 0.33, 0.8):
             res = hard_threshold_filter(g, frac)
             assert abs(res.kept.sum() / g.n_edges - frac) <= 1.0 / g.n_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_l=st.integers(1, 3), n=st.integers(1, 6),
+       retain=st.floats(0.0, 1.0, exclude_min=True),
+       a=st.sampled_from([0.0, 0.5, 1.0, 0.3, None]),
+       integer=st.booleans())
+def test_stack_filters_each_matrix_alone(data, n_l, n, retain, a, integer):
+    # integer weights in a small range make ties in |w| and p common
+    elements = (st.integers(-3, 3).map(float) if integer
+                else st.floats(-10.0, 10.0, allow_subnormal=False))
+    w = data.draw(arrays(np.float64, (n_l, n_l, n, n), elements=elements))
+
+    def run(weights):
+        g = WeightedDigraph(weights)
+        if a is None:
+            return hard_threshold_filter(g, retain)
+        return polya_filter(g, a, retain)
+
+    stacked = run(w)
+    assert stacked.p_values.shape == stacked.kept.shape == w.shape
+    for j in range(n_l):
+        for l in range(n_l):
+            alone = run(w[j, l])
+            np.testing.assert_array_equal(stacked.p_values[j, l], alone.p_values)
+            np.testing.assert_array_equal(stacked.kept[j, l], alone.kept)

@@ -276,11 +276,14 @@ class TestRunPipeline:
         _, info = filter_network(net, cfg)
         for j in range(3):
             for l in range(3):
-                g = WeightedDigraph.from_dense(net.blocks[j, l])
-                res = (polya_filter(g, cfg.filter_a, cfg.retain_fraction)
-                       if method == "polya"
-                       else hard_threshold_filter(g, cfg.retain_fraction))
-                assert info["thresholds"][j][l] == res.threshold_used
+                g = WeightedDigraph(net.blocks[j, l])
+                if method == "polya":
+                    res = polya_filter(g, cfg.filter_a, cfg.retain_fraction)
+                    want = res.p_values[res.kept].max()
+                else:
+                    res = hard_threshold_filter(g, cfg.retain_fraction)
+                    want = np.abs(net.blocks[j, l])[res.kept].min()
+                assert info["thresholds"][j][l] == want
 
     def test_burn_in_drop(self, small_panel, tmp_path):
         panel, _ = small_panel
@@ -396,6 +399,22 @@ class TestExports:
         fields[field] = text
         path.write_text(f"{header}\n{','.join(fields)}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"row 2, {message}")):
+            import_network(path)
+
+    def test_row_fault_reported_before_grid_fault(self, tmp_path):
+        # row 4 repeats the edge of row 3, and row 6 holds a non-numeric
+        # weight: the weight is named, as ingest_csv names a row fault first
+        path = tmp_path / "net.csv"
+        export_network(self._filtered(n_e=2, n_l=2), path, "csv")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[2]
+        fields = lines[5].split(",")
+        fields[4] = "abc"
+        lines[5] = ",".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                "row 6, column weight: could not convert string to float: "
+                "'abc'")):
             import_network(path)
 
     def test_single_edge_csv(self, tmp_path):

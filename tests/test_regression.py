@@ -26,6 +26,7 @@ from multitar.regression import (
     resolve_ranks,
     select_lambda,
 )
+from multitar.pipeline import PipelineConfig
 from multitar.tensor_ops import TuckerFactors, mode_multiply, tucker_reconstruct
 
 
@@ -617,6 +618,15 @@ def test_fit_config_validation():
         FitConfig(train_fraction=1.0)
     with pytest.raises(ValueError):
         FitConfig(lambda_grid=(-1.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rel_tol_rejected(bad):
+    # rel_tol = inf would stop every fit after its second sweep as converged
+    with pytest.raises(ValueError, match="rel_tol must be finite"):
+        FitConfig(rel_tol=bad)
+    with pytest.raises(ValueError, match="rel_tol must be finite"):
+        PipelineConfig(rel_tol=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
