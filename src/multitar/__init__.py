@@ -51,15 +51,8 @@ from .regression import (
     closed_form_fit,
     predict,
     predicted_r2,
-    select_lambda,
 )
 from .synthetic import generate_arfima_panel, generate_tar_panel
-from .tensor_ops import (
-    TuckerFactors,
-    fold,
-    mode_multiply,
-    tucker_reconstruct,
-    unfold,
-)
+from .tensor_ops import TuckerFactors, unfold
 
 __version__ = "0.1.0"

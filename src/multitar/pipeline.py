@@ -257,7 +257,7 @@ def fit_model(panel: PanelSeries, config: PipelineConfig):
     info = {
         "lambda": model.ridge,
         "r2_table": [[lam, table[lam]] for lam in fit_cfg.lambda_grid],
-        "ranks": list(model.ranks),
+        "ranks": list(model.coefficient.ranks),
         "n_train": n_train,
         "n_test": n_pairs - n_train,
         "n_sweeps": report.n_sweeps,

@@ -33,12 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .tensor_ops import (
-    TuckerFactors,
-    as_tensor,
-    tucker_reconstruct,
-    unfold,
-)
+from .tensor_ops import TuckerFactors, as_tensor, unfold
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +87,6 @@ class TarModel:
     intercept: np.ndarray
     coefficient: TuckerFactors
     ridge: float
-    ranks: tuple
     x_mean: np.ndarray
     y_mean: np.ndarray
 
@@ -110,7 +104,9 @@ class TarModel:
             raise ValueError("intercept must have shape (1, *response_dims)")
 
     def coefficient_tensor(self) -> np.ndarray:
-        return tucker_reconstruct(self.coefficient)
+        """``B = W_x G W_y'``, the tensor the fit's objective and intercept use."""
+        return _partial(self.coefficient.core, self.coefficient.factors,
+                        self.x_mean.ndim)
 
 
 def build_lagged_pairs(panel, lag: int):
@@ -377,7 +373,7 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
     intercept = y_mean[None] - np.tensordot(x_mean[None], b, axes=n_reg)
     coefficient = TuckerFactors(core, tuple(factors))
     model = TarModel(intercept=intercept, coefficient=coefficient, ridge=float(ridge),
-                     ranks=ranks, x_mean=x_mean, y_mean=y_mean)
+                     x_mean=x_mean, y_mean=y_mean)
     report = FitReport(objective_trace=tuple(trace), converged=converged,
                        n_sweeps=len(trace))
     return model, report
@@ -445,12 +441,3 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
                          f"{list(config.lambda_grid)}")
     model, report = fits[max(scored, key=lambda lam: (table[lam], -lam))]
     return model, report, table
-
-
-def select_lambda(panel, ranks, config: FitConfig | None = None, lag: int = 1):
-    """Pick the ridge weight by out-of-sample R2 on a chronological split.
-
-    Returns ``(best_lambda, table)``; see :func:`fit_lambda_grid`.
-    """
-    model, _, table = fit_lambda_grid(panel, ranks, config, lag)
-    return model.ridge, table

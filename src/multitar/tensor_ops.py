@@ -1,10 +1,9 @@
-"""Dense tensor algebra: unfolding, mode products and Tucker assembly.
+"""Dense tensor algebra: coercion, unfolding and the Tucker container.
 
 All tensors are ``numpy.float64`` arrays stored in C order (row major, last
 mode varies fastest).  ``unfold(T, m)`` moves mode ``m`` to the front and
-flattens the remaining modes in their original order, last fastest; ``fold``
-is its exact inverse.  Every function in this module is pure and never
-mutates its inputs.
+flattens the remaining modes in their original order, last fastest.  Every
+function in this module is pure and never mutates its inputs.
 """
 
 from __future__ import annotations
@@ -34,39 +33,6 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     if not 0 <= mode < tensor.ndim:
         raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
     return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
-
-
-def fold(matrix: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of ``shape`` from its
-    mode-``mode`` matricization."""
-    shape = tuple(int(n) for n in shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    lead = (shape[mode],) + shape[:mode] + shape[mode + 1:]
-    return np.ascontiguousarray(np.moveaxis(matrix.reshape(lead), 0, mode))
-
-
-def mode_multiply(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
-    """Multiply ``tensor`` by ``matrix`` along ``mode``.
-
-    Equivalent to ``fold(matrix @ unfold(tensor, mode), mode, new_shape)``;
-    the extent at ``mode`` becomes ``matrix.shape[0]``.
-    """
-    tensor = as_tensor(tensor)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("mode_multiply expects a 2-D matrix")
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
-    if matrix.shape[1] != tensor.shape[mode]:
-        raise ValueError(
-            f"matrix has {matrix.shape[1]} columns but mode {mode} has extent "
-            f"{tensor.shape[mode]}"
-        )
-    new_shape = list(tensor.shape)
-    new_shape[mode] = matrix.shape[0]
-    return fold(matrix @ unfold(tensor, mode), mode, new_shape)
 
 
 @dataclass(frozen=True)
@@ -107,11 +73,3 @@ class TuckerFactors:
     @property
     def ranks(self) -> tuple:
         return self.core.shape
-
-
-def tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
-    """Assemble the dense tensor ``core x_1 U_1 x_2 U_2 ... x_D U_D``."""
-    out = f.core
-    for d, u in enumerate(f.factors):
-        out = mode_multiply(out, u, d)
-    return out

@@ -30,7 +30,7 @@ from multitar.multinet import (
 )
 from multitar.netfilter import polya_pvalue
 from multitar.pipeline import PipelineConfig, import_network, run_pipeline
-from multitar.regression import FitConfig, als_fit, closed_form_fit, select_lambda
+from multitar.regression import FitConfig, als_fit, closed_form_fit, fit_lambda_grid
 from multitar.synthetic import generate_arfima_panel, generate_tar_panel
 
 
@@ -129,11 +129,12 @@ def test_c05_lambda_selection_reproduction():
     panel[0] = rng.standard_normal(p)
     for t in range(1, 300):
         panel[t] = panel[t - 1] @ b
-    best_clean, _ = select_lambda(panel.reshape(300, 4, 2), "full",
+    clean, _, _ = fit_lambda_grid(panel.reshape(300, 4, 2), "full",
                                   FitConfig(lambda_grid=grid, seed=17))
     noise = np.random.default_rng(99).standard_normal((260, 4, 2))
-    best_noise, _ = select_lambda(noise, "full",
+    noisy, _, _ = fit_lambda_grid(noise, "full",
                                   FitConfig(lambda_grid=grid, seed=99))
+    best_clean, best_noise = clean.ridge, noisy.ridge
     report(5, best_clean == 0.0 and best_noise == 50.0,
            f"noiseless -> {best_clean} (want 0), pure noise -> {best_noise} "
            f"(want 50)")

@@ -528,8 +528,8 @@ class TestExports:
                                     usecols=range(1, net.n_layers + 1))
         np.testing.assert_array_equal(got_overlap.reshape(overlap.values.shape),
                                       overlap.values)
-        rows = [l.split(",") for l in
-                open(paths["node_measures"]).read().strip().split("\n")[1:]]
+        with open(paths["node_measures"], encoding="utf-8") as fh:
+            rows = [l.split(",") for l in fh.read().strip().split("\n")[1:]]
         for idx, (entity, layer, s, c) in enumerate(rows):
             i, j = divmod(idx, net.n_layers)
             assert float(s) == strength[i, j]
@@ -637,7 +637,7 @@ class TestCli:
                    "--alpha", "0.3", "--lambda", "5", "--retain", "0.2",
                    "--method", "hard"])
         assert rc == 0
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["fit"]["lambda"] == 5.0
         assert manifest["filter"]["method"] == "hard"
 

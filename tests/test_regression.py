@@ -24,10 +24,22 @@ from multitar.regression import (
     predict,
     predicted_r2,
     resolve_ranks,
-    select_lambda,
 )
 from multitar.pipeline import PipelineConfig
-from multitar.tensor_ops import TuckerFactors, mode_multiply, tucker_reconstruct
+from multitar.synthetic import generate_tar_panel
+from multitar.tensor_ops import TuckerFactors
+
+
+def mode_product(t, u, d):
+    """Reference mode-``d`` product ``t x_d u`` by one ``tensordot``."""
+    return np.moveaxis(np.tensordot(u, t, axes=(1, d)), 0, d)
+
+
+def tucker_reconstruct(core, factors):
+    """Reference ``core x_1 U_1 ... x_D U_D`` as a chain of mode products."""
+    for d, u in enumerate(factors):
+        core = mode_product(core, u, d)
+    return core
 
 
 def is_non_increasing(trace, slack=1e-9):
@@ -155,7 +167,7 @@ class TestAlsFit:
             np.linalg.qr(rng.standard_normal((d, r)))[0]
             for d, r in zip(dims, ranks)
         )
-        b_star = tucker_reconstruct(TuckerFactors(core, factors))
+        b_star = tucker_reconstruct(core, factors)
         x = rng.standard_normal((500, 6, 4))
         y = (np.tensordot(x, b_star, axes=([1, 2], [0, 1]))
              + 0.01 * rng.standard_normal((500, 5, 3)))
@@ -164,6 +176,21 @@ class TestAlsFit:
             angles = scipy.linalg.subspace_angles(fitted, truth)
             assert np.degrees(angles.max()) < 5.0
         assert is_non_increasing(report.objective_trace)
+
+    def test_intercept_uses_the_stored_coefficient(self):
+        # one formula makes B: the intercept is y_mean - <x_mean, B> for the
+        # B that coefficient_tensor() returns, bit for bit, at reduced rank
+        panel, _ = generate_tar_panel(n_entities=10, n_layers=4, n_steps=1000,
+                                      seed=3)
+        x, y = build_lagged_pairs(np.log(panel.values), 1)
+        model, _ = als_fit(x, y, (3, 2, 3, 2), 1.0, FitConfig(max_sweeps=50))
+        expected = model.y_mean[None] - np.tensordot(
+            model.x_mean[None], model.coefficient_tensor(), axes=2)
+        np.testing.assert_array_equal(model.intercept, expected)
+        # at full rank the factors are identities and B is the core itself
+        full, _ = als_fit(x, y, "full", 1.0)
+        np.testing.assert_array_equal(full.coefficient_tensor(),
+                                      full.coefficient.core)
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(6)
@@ -412,14 +439,14 @@ class TestAlsFit:
         ranks = [1 + int(u * (d - 1) + 0.5) for u, d in zip(rank_draws, dims)]
         core = rng.standard_normal(ranks)
         factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
-        expected = tucker_reconstruct(TuckerFactors(core, tuple(factors)))
+        expected = tucker_reconstruct(core, factors)
         scale = np.max(np.abs(expected))
         got = _partial(core, factors, len(x_dims))
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
         for d, u in enumerate(factors):
             part = _partial(core, factors, len(x_dims), d)
-            np.testing.assert_allclose(mode_multiply(part, u, d), expected,
+            np.testing.assert_allclose(mode_product(part, u, d), expected,
                                        rtol=0, atol=1e-12 * scale)
 
     def test_resolve_ranks(self):
@@ -453,7 +480,6 @@ class TestPredict:
             intercept=np.full((1, 2, 2), 3.25),
             coefficient=TuckerFactors(core, factors),
             ridge=0.0,
-            ranks=(3, 2, 2, 2),
             x_mean=np.zeros((3, 2)),
             y_mean=np.full((2, 2), 3.25),
         )
@@ -471,7 +497,6 @@ class TestPredict:
             coefficient=TuckerFactors(delta, (np.eye(3), np.eye(2),
                                               np.eye(3), np.eye(2))),
             ridge=0.0,
-            ranks=(3, 2, 3, 2),
             x_mean=np.zeros((3, 2)),
             y_mean=np.zeros((3, 2)),
         )
@@ -519,7 +544,6 @@ class TestPredictedR2:
             intercept=y_mean[None].copy(),
             coefficient=TuckerFactors(np.zeros((2, 2)), (np.eye(2), np.eye(2))),
             ridge=0.0,
-            ranks=(2, 2),
             x_mean=np.zeros(2),
             y_mean=y_mean,
         )
@@ -558,23 +582,24 @@ class TestSelectLambda:
         panel[0] = rng.standard_normal(p)
         for t in range(1, 300):
             panel[t] = panel[t - 1] @ b
-        best, table = select_lambda(panel.reshape(300, 4, 2), "full",
-                                    FitConfig(lambda_grid=(0.0, 1.0, 5.0), seed=17))
-        assert best == 0.0
+        model, _, table = fit_lambda_grid(
+            panel.reshape(300, 4, 2), "full",
+            FitConfig(lambda_grid=(0.0, 1.0, 5.0), seed=17))
+        assert model.ridge == 0.0
         assert table[0.0] == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_noise_picks_heaviest_shrinkage(self):
         noise = np.random.default_rng(99).standard_normal((260, 4, 2))
-        best, table = select_lambda(noise, "full",
-                                    FitConfig(lambda_grid=(0.0, 50.0), seed=99))
-        assert best == 50.0
+        model, _, table = fit_lambda_grid(noise, "full",
+                                          FitConfig(lambda_grid=(0.0, 50.0), seed=99))
+        assert model.ridge == 50.0
         assert table[50.0] > table[0.0]
 
     def test_single_element_grid(self):
         panel = np.random.default_rng(21).standard_normal((60, 2, 2))
-        best, table = select_lambda(panel, "full",
-                                    FitConfig(lambda_grid=(7.0,), seed=21))
-        assert best == 7.0
+        model, _, table = fit_lambda_grid(panel, "full",
+                                          FitConfig(lambda_grid=(7.0,), seed=21))
+        assert model.ridge == 7.0
         assert set(table) == {7.0}
 
     def test_tie_breaks_toward_smaller_lambda(self):
@@ -584,17 +609,17 @@ class TestSelectLambda:
         panel = np.full((30, 2), 4.0)
         panel[0] = rng.standard_normal(2)
         panel[27:] = rng.standard_normal((3, 2))
-        best, table = select_lambda(panel, "full",
-                                    FitConfig(lambda_grid=(5.0, 3.0), seed=22))
+        model, _, table = fit_lambda_grid(panel, "full",
+                                          FitConfig(lambda_grid=(5.0, 3.0), seed=22))
         assert table[3.0] == table[5.0]
-        assert best == 3.0
+        assert model.ridge == 3.0
 
     def test_all_nan_r2_names_the_grid(self):
         # squares of the 1e160 test rows overflow, so every R2 is inf / inf
         panel = np.random.default_rng(23).standard_normal((100, 2, 2))
         panel[-5:] *= 1e160
         with pytest.raises(ValueError, match=r"lambda_grid \[0\.0, 5\.0\]"):
-            select_lambda(panel, "full", FitConfig(lambda_grid=(0.0, 5.0)))
+            fit_lambda_grid(panel, "full", FitConfig(lambda_grid=(0.0, 5.0)))
 
     def test_unconverged_fits_are_logged_once(self, caplog):
         panel = np.random.default_rng(24).standard_normal((80, 3, 2))
