@@ -16,7 +16,6 @@ from .fracdiff import (
     fracdiff_weights,
 )
 from .multinet import (
-    LayerMatrix,
     MultilayerNetwork,
     apply_filter,
     assortativity_matrix,

@@ -172,7 +172,8 @@ def find_min_alpha(columns, alpha_grid, level: float = 0.05,
     ``columns`` is a (T, n_series) array; each candidate ``alpha`` is applied
     with full-length weights and accepted when the ADF test rejects the unit
     root for every series.  Columns whose ADF regression is degenerate count
-    as non-stationary for that candidate.
+    as non-stationary for that candidate.  A panel too short for the ADF
+    regression at ``n_lags`` fails before any candidate is tried.
     """
     panel = np.asarray(columns, dtype=np.float64)
     if panel.ndim == 1:
@@ -186,6 +187,11 @@ def find_min_alpha(columns, alpha_grid, level: float = 0.05,
         raise ValueError("alpha_grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha_grid must be strictly ascending")
+    t = panel.shape[0]
+    lags = default_adf_lags(t) if n_lags is None else n_lags
+    if t <= 2 * lags + 3:
+        raise ValueError(f"T = {t} is too short for an ADF regression with "
+                         f"n_lags = {lags} (need T > {2 * lags + 3}); no alpha can pass")
 
     for alpha in grid:
         diff = fracdiff_apply(panel, FracDiffSpec(alpha=alpha,

@@ -60,14 +60,6 @@ class MultilayerNetwork:
         return len(self.layer_labels)
 
 
-@dataclass(frozen=True)
-class LayerMatrix:
-    """Square layer-by-layer summary; ``kind`` is 'assortativity' or 'overlap'."""
-
-    values: np.ndarray
-    kind: str
-
-
 def from_coefficient(b, entity_labels, layer_labels) -> MultilayerNetwork:
     """Arrange a coefficient tensor of shape (I, J, I, J) into layer blocks.
 
@@ -109,48 +101,45 @@ def apply_filter(net: MultilayerNetwork, method: str = "polya",
     return replace(net, kept=res.kept, p_values=res.p_values)
 
 
-def assortativity_matrix(net: MultilayerNetwork) -> LayerMatrix:
+def assortativity_matrix(net: MultilayerNetwork) -> np.ndarray:
     """Pearson correlation between per-entity intra-layer degree sequences.
 
     Degrees are in-degree plus out-degree on kept edges of each layer's
     diagonal block.  Entries where either sequence is constant are undefined
-    and reported as NaN rather than 0.
+    and reported as NaN rather than 0.  Returns an (n_layers, n_layers) array.
     """
     n_l = net.n_layers
-    degrees = np.empty((n_l, net.n_entities))
-    for j in range(n_l):
-        intra = net.kept[j, j]
-        degrees[j] = intra.sum(axis=1) + intra.sum(axis=0)
+    intra = net.kept[np.arange(n_l), np.arange(n_l)]
+    degrees = intra.sum(axis=2) + intra.sum(axis=1)
+    centred = degrees - degrees.mean(axis=1, keepdims=True)
+    # Pair by pair, not one centred @ centred.T: the matrix product sums in
+    # another order and would change the last bits of the correlations.
     values = np.full((n_l, n_l), np.nan)
     for j in range(n_l):
         for l in range(n_l):
-            a = degrees[j] - degrees[j].mean()
-            b = degrees[l] - degrees[l].mean()
+            a, b = centred[j], centred[l]
             denom = np.sqrt((a @ a) * (b @ b))
             if denom > 0.0:
                 values[j, l] = 1.0 if j == l else float((a @ b) / denom)
-    return LayerMatrix(values=values, kind="assortativity")
+    return values
 
 
-def edge_overlap_matrix(net: MultilayerNetwork, normalized: bool = False) -> LayerMatrix:
+def edge_overlap_matrix(net: MultilayerNetwork, normalized: bool = False) -> np.ndarray:
     """Count ordered entity pairs linked intra-layer in both of two layers.
 
     Self-loops are excluded.  With ``normalized`` the count is divided by the
     size of the union of the two edge sets (0 when the union is empty).
+    Returns an (n_layers, n_layers) array.
     """
     n_l, n_e = net.n_layers, net.n_entities
-    off_diag = ~np.eye(n_e, dtype=bool)
-    intra = np.array([net.kept[j, j] & off_diag for j in range(n_l)])
-    values = np.zeros((n_l, n_l))
-    for j in range(n_l):
-        for l in range(n_l):
-            inter = int(np.count_nonzero(intra[j] & intra[l]))
-            if normalized:
-                union = int(np.count_nonzero(intra[j] | intra[l]))
-                values[j, l] = inter / union if union else 0.0
-            else:
-                values[j, l] = inter
-    return LayerMatrix(values=values, kind="overlap")
+    intra = net.kept[np.arange(n_l), np.arange(n_l)] & ~np.eye(n_e, dtype=bool)
+    flat = intra.reshape(n_l, -1).astype(np.int64)
+    inter = flat @ flat.T
+    if not normalized:
+        return inter.astype(np.float64)
+    size = np.diag(inter)
+    union = size[:, None] + size[None, :] - inter
+    return np.divide(inter, union, out=np.zeros((n_l, n_l)), where=union > 0)
 
 
 def node_strength(net: MultilayerNetwork) -> np.ndarray:
@@ -171,7 +160,10 @@ def k_coreness(net: MultilayerNetwork) -> np.ndarray:
 
     The projection is an undirected simple graph on entity-layer nodes with
     an edge when either direction is kept in any block; self-loops are
-    dropped.  Returns an (n_entities, n_layers) integer array.
+    dropped.  Cores are peeled by level: at level ``k`` (the smallest live
+    degree, never below the previous level) every live node of degree at
+    most ``k`` gets core ``k`` and is removed at once.  Returns an
+    (n_entities, n_layers) integer array.
     """
     n_e, n_l = net.n_entities, net.n_layers
     n = n_e * n_l
@@ -179,35 +171,14 @@ def k_coreness(net: MultilayerNetwork) -> np.ndarray:
     adj = np.ascontiguousarray(net.kept.transpose(2, 0, 3, 1)).reshape(n, n)
     adj = adj | adj.T
     np.fill_diagonal(adj, False)
-    return _core_numbers(adj).reshape(n_e, n_l)
-
-
-def _core_numbers(adj: np.ndarray) -> np.ndarray:
-    """Batagelj-Zaversnik peeling on a boolean adjacency matrix."""
-    n = adj.shape[0]
-    degree = adj.sum(axis=1).astype(np.int64)
-    order = np.argsort(degree, kind="stable")
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    # bin_start[d] = first position with degree >= d in the sorted order
-    max_deg = int(degree.max()) if n else 0
-    counts = np.bincount(degree, minlength=max_deg + 1)
-    bin_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    deg = degree.copy()
+    degree = adj.sum(axis=1)
     core = np.zeros(n, dtype=np.int64)
-    neighbors = [np.flatnonzero(adj[v]) for v in range(n)]
-    for i in range(n):
-        v = order[i]
-        core[v] = deg[v]
-        for u in neighbors[v]:
-            if deg[u] > deg[v]:
-                du = deg[u]
-                pu, pw = position[u], bin_start[du]
-                w = order[pw]
-                if u != w:
-                    order[pu], order[pw] = w, u
-                    position[u], position[w] = pw, pu
-                bin_start[du] += 1
-                deg[u] -= 1
-    return core
+    live = np.ones(n, dtype=bool)
+    k = 0
+    while live.any():
+        k = max(k, int(degree[live].min()))
+        removed = live & (degree <= k)
+        core[removed] = k
+        live &= ~removed
+        degree -= adj[removed].sum(axis=0)
+    return core.reshape(n_e, n_l)

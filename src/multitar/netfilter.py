@@ -111,7 +111,8 @@ def _survival(w, s, k, a) -> np.ndarray:
         np.asarray(k, dtype=np.float64),
     )
     out = np.ones(w.shape)
-    active = (w > 0.0) & (k > 1.0)
+    # A subnormal w is p = 1 once rounded, and betaln(w, .) overflows there
+    active = (w >= np.finfo(np.float64).tiny) & (k > 1.0)
     if not np.any(active):
         return out
     wa, sa, ka = w[active], s[active], k[active]

@@ -509,7 +509,7 @@ def export_matrices(assortativity, overlap, strength, coreness,
     for key, matrix in (("assortativity", assortativity), ("edge_overlap", overlap)):
         _write_lines(paths[key], ["layer," + ",".join(layer_labels)] + [
             label + "," + ",".join(map(_fmt, row))
-            for label, row in zip(layer_labels, matrix.values.tolist())])
+            for label, row in zip(layer_labels, matrix.tolist())])
     nodes = itertools.product(map(csv_field, entity_labels), layer_labels)
     _write_lines(paths["node_measures"], itertools.chain(
         ["entity,layer,strength,coreness"],

@@ -198,6 +198,12 @@ class TestFindMinAlpha:
         with pytest.raises(ValueError, match="no grid value"):
             find_min_alpha(panel, (0.0, 0.1))
 
+    def test_too_short_for_default_lags_fails_before_the_grid(self):
+        # T = 10 gives 6 default lags: 8 ADF parameters, 3 observations
+        panel = np.random.default_rng(15).standard_normal((10, 2))
+        with pytest.raises(ValueError, match=r"T = 10 .* n_lags = 6"):
+            find_min_alpha(panel, (0.0, 0.5, 1.0))
+
     def test_grid_validation(self):
         panel = np.random.default_rng(13).standard_normal((100, 2))
         with pytest.raises(ValueError, match="empty"):

@@ -241,8 +241,8 @@ class TestAssortativity:
         kept[0, 0] = intra
         kept[1, 1] = intra
         m = assortativity_matrix(make_network(kept))
-        assert m.values[0, 1] == pytest.approx(1.0)
-        assert m.kind == "assortativity"
+        assert m.shape == (2, 2)
+        assert m[0, 1] == pytest.approx(1.0)
 
     def test_reversed_degree_sequences_give_minus_one(self):
         # layer 0 total degrees (1, 2, 3), layer 1 the reverse (3, 2, 1)
@@ -254,13 +254,13 @@ class TestAssortativity:
         deg1 = kept[1, 1].sum(1) + kept[1, 1].sum(0)
         assert list(deg0) == [1, 2, 3] and list(deg1) == [3, 2, 1]
         m = assortativity_matrix(net)
-        assert m.values[0, 1] == pytest.approx(-1.0)
-        assert m.values[1, 0] == pytest.approx(-1.0)
+        assert m[0, 1] == pytest.approx(-1.0)
+        assert m[1, 0] == pytest.approx(-1.0)
 
     def test_matches_scalar_formula_on_random_masks(self):
         rng = np.random.default_rng(7)
         net = random_network(rng, 10, 3)
-        m = assortativity_matrix(net).values
+        m = assortativity_matrix(net)
         degs = [net.kept[j, j].sum(1) + net.kept[j, j].sum(0) for j in range(3)]
         for j in range(3):
             for l in range(3):
@@ -275,7 +275,7 @@ class TestAssortativity:
         kept = np.zeros((2, 2, 4, 4), dtype=bool)
         kept[0, 0] = ~np.eye(4, dtype=bool)  # complete: constant degrees
         kept[1, 1, 0, 1] = True
-        m = assortativity_matrix(make_network(kept)).values
+        m = assortativity_matrix(make_network(kept))
         assert np.isnan(m[0, 1]) and np.isnan(m[1, 0]) and np.isnan(m[0, 0])
         assert m[1, 1] == 1.0
 
@@ -288,7 +288,7 @@ class TestEdgeOverlap:
         kept = np.zeros((2, 2, 6, 6), dtype=bool)
         kept[0, 0] = intra
         kept[1, 1] = intra
-        m = edge_overlap_matrix(make_network(kept)).values
+        m = edge_overlap_matrix(make_network(kept))
         e = intra.sum()
         assert m[0, 1] == e and m[0, 0] == e and m[1, 1] == e
 
@@ -296,20 +296,20 @@ class TestEdgeOverlap:
         kept = np.zeros((2, 2, 4, 4), dtype=bool)
         kept[0, 0, 0, 1] = True
         kept[1, 1, 2, 3] = True
-        m = edge_overlap_matrix(make_network(kept)).values
+        m = edge_overlap_matrix(make_network(kept))
         assert m[0, 1] == 0.0
 
     def test_self_loops_excluded(self):
         kept = np.zeros((2, 2, 3, 3), dtype=bool)
         kept[0, 0] = np.eye(3, dtype=bool)
         kept[1, 1] = np.eye(3, dtype=bool)
-        m = edge_overlap_matrix(make_network(kept)).values
+        m = edge_overlap_matrix(make_network(kept))
         assert np.all(m == 0.0)
 
     def test_matches_pair_enumeration_oracle(self):
         rng = np.random.default_rng(9)
         net = random_network(rng, 8, 4)
-        m = edge_overlap_matrix(net).values
+        m = edge_overlap_matrix(net)
         for j in range(4):
             for l in range(4):
                 count = 0
@@ -323,9 +323,29 @@ class TestEdgeOverlap:
     def test_normalized_fraction(self):
         rng = np.random.default_rng(10)
         net = random_network(rng, 8, 3)
-        m = edge_overlap_matrix(net, normalized=True).values
+        m = edge_overlap_matrix(net, normalized=True)
         assert np.all((m >= 0.0) & (m <= 1.0))
         np.testing.assert_allclose(np.diag(m), 1.0)
+
+    def test_normalized_matches_pair_enumeration_oracle(self):
+        kept = np.random.default_rng(16).random((4, 4, 7, 7)) < 0.4
+        # layers 2 and 3 keep no intra-layer edge but self-loops, so their
+        # union is empty and the fraction is 0
+        kept[2, 2] = False
+        kept[3, 3] = np.eye(7, dtype=bool)
+        net = make_network(kept)
+        m = edge_overlap_matrix(net, normalized=True)
+        for j in range(4):
+            for l in range(4):
+                inter = union = 0
+                for i in range(7):
+                    for k in range(7):
+                        a, b = net.kept[j, j, i, k], net.kept[l, l, i, k]
+                        if i != k:
+                            inter += bool(a and b)
+                            union += bool(a or b)
+                assert m[j, l] == (inter / union if union else 0.0)
+        assert m[2, 3] == 0.0 and m[0, 1] > 0.0
 
 
 class TestNodeStrength:
@@ -380,9 +400,30 @@ class TestKCoreness:
 
     def test_matches_naive_peeling_on_random_networks(self):
         rng = np.random.default_rng(13)
-        for _ in range(10):
-            net = random_network(rng, 10, 4, keep_prob=0.08)
+        nets = [random_network(rng, 10, 4, keep_prob=0.08) for _ in range(10)]
+        # a long path, edges in random directions: one peeling round per
+        # pair of ends
+        path = np.zeros((1, 1, 120, 120), dtype=bool)
+        flip = rng.random(119) < 0.5
+        path[0, 0, np.where(flip, np.arange(1, 120), np.arange(119)),
+             np.where(flip, np.arange(119), np.arange(1, 120))] = True
+        nets.append(make_network(path))
+        # a 7-clique across two layers with pendant and isolated nodes: the
+        # level jumps 0 -> 1 -> 6
+        clique = np.zeros((2, 2, 6, 6), dtype=bool)
+        members = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1)]
+        for i, j in members:
+            for k, l in members:
+                clique[j, l, i, k] = (i, j) != (k, l)
+        # (3, 1) hangs off the clique and (4, 0) off (3, 1)
+        clique[1, 1, 0, 3] = clique[0, 1, 4, 3] = True
+        nets.append(make_network(clique))
+        for net in nets:
             np.testing.assert_array_equal(k_coreness(net), coreness_oracle(net))
+        assert set(k_coreness(nets[-2]).ravel()) == {1}
+        np.testing.assert_array_equal(k_coreness(nets[-1]),
+                                      [[6, 6], [6, 6], [6, 6], [6, 1],
+                                       [1, 0], [0, 0]])
 
     def test_invariant_under_weight_rescaling(self):
         rng = np.random.default_rng(14)

@@ -52,6 +52,11 @@ class TestPolyaPvalue:
     def test_zero_weight_is_certain(self):
         assert polya_pvalue(0.0, 12.5, 4, 1.0) == 1.0
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0])
+    def test_subnormal_weight_is_certain(self, a):
+        # betaln overflows at a subnormal first argument; p rounds to 1
+        assert polya_pvalue(1e-310, 2.0, 2, a) == 1.0
+
     def test_single_edge_is_certain(self):
         assert polya_pvalue(7.0, 7.0, 1, 1.0) == 1.0
 
@@ -281,6 +286,13 @@ class TestPolyaFilter:
             assert np.unique(res.p_values).size == 1
             assert kept_pairs(res) == [divmod(e, n) for e in
                                        range(math.ceil(0.5 * n * n))]
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0])
+    def test_subnormal_share_gives_finite_pvalues(self, a):
+        g = WeightedDigraph(np.array([[2.5e-308, 10.0], [3.0, 4.0]]))
+        p = polya_filter(g, a, 1.0).p_values
+        assert np.all(np.isfinite(p))
+        assert p[0, 0] == 1.0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):

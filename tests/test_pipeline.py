@@ -191,6 +191,15 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=r"\[fracdiff\].*nonpositive"):
             run_pipeline(cfg, bad)
 
+    def test_too_many_adf_lags_fail_fracdiff_stage(self, tmp_path):
+        # T = 200 with 99 lags leaves 100 observations for 101 parameters
+        panel, _ = generate_tar_panel(n_entities=3, n_layers=2, n_steps=200,
+                                      seed=1)
+        cfg = PipelineConfig(adf_lags=99, out_dir=str(tmp_path / "x"))
+        with pytest.raises(PipelineError,
+                           match=r"\[fracdiff\] T = 200 .* n_lags = 99"):
+            run_pipeline(cfg, panel)
+
     def test_label_xml_cannot_carry_fails_measure_stage(self, small_panel,
                                                        tmp_path):
         panel, _ = small_panel
@@ -520,14 +529,14 @@ class TestExports:
         got = np.genfromtxt(paths["assortativity"], delimiter=",",
                             skip_header=1, usecols=range(1, net.n_layers + 1))
         np.testing.assert_array_equal(
-            np.nan_to_num(got.reshape(assort.values.shape), nan=-9.0),
-            np.nan_to_num(assort.values, nan=-9.0),
+            np.nan_to_num(got.reshape(assort.shape), nan=-9.0),
+            np.nan_to_num(assort, nan=-9.0),
         )
         got_overlap = np.genfromtxt(paths["edge_overlap"], delimiter=",",
                                     skip_header=1,
                                     usecols=range(1, net.n_layers + 1))
-        np.testing.assert_array_equal(got_overlap.reshape(overlap.values.shape),
-                                      overlap.values)
+        np.testing.assert_array_equal(got_overlap.reshape(overlap.shape),
+                                      overlap)
         with open(paths["node_measures"], encoding="utf-8") as fh:
             rows = [l.split(",") for l in fh.read().strip().split("\n")[1:]]
         for idx, (entity, layer, s, c) in enumerate(rows):
