@@ -33,30 +33,29 @@ _STAGED = (
 )
 
 
+# Override flags: the config field each sets and its help.  A flag's text is
+# read as that field's value in a config file.
+_OVERRIDES = (
+    ("--out", "out_dir", "output directory"),
+    ("--alpha", "alpha", "differencing order ('search' or a number)"),
+    ("--lambda", "lambda_grid", "ridge grid: one weight or a comma list"),
+    ("--retain", "retain_fraction", "fraction of edges to keep per block"),
+    ("--method", "filter_method", "filter method: polya or hard"),
+    ("--seed", "seed", "seed override"),
+)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--out", help="output directory", default=None)
-    parser.add_argument("--alpha",
-                        help="differencing order ('search' or a number)")
-    parser.add_argument("--lambda", dest="ridge",
-                        help="fixed ridge weight (replaces the grid)")
-    parser.add_argument("--retain", type=float,
-                        help="fraction of edges to keep per block")
-    parser.add_argument("--method", choices=("polya", "hard"),
-                        help="filter method")
-    parser.add_argument("--seed", type=int, help="seed override")
+    for flag, key, help_flag in _OVERRIDES:
+        parser.add_argument(flag, dest=key, help=help_flag)
 
 
 def _load_config(args) -> pl.PipelineConfig:
     config = (pl.PipelineConfig.from_file(args.config) if args.config
               else pl.PipelineConfig())
-    flags = {"out_dir": args.out, "retain_fraction": args.retain,
-             "filter_method": args.method, "seed": args.seed}
-    updates = {key: v for key, v in flags.items() if v is not None}
-    if args.alpha is not None:
-        updates["alpha"] = None if args.alpha == "search" else float(args.alpha)
-    if args.ridge is not None:
-        updates["lambda_grid"] = (float(args.ridge),)
+    updates = {key: pl._parse_config_value(key, getattr(args, key))
+               for _, key, _ in _OVERRIDES if getattr(args, key) is not None}
     return dataclasses.replace(config, **updates) if updates else config
 
 

@@ -189,6 +189,8 @@ def find_min_alpha(columns, alpha_grid, level: float = 0.05,
         raise ValueError("alpha_grid must be strictly ascending")
     t = panel.shape[0]
     lags = default_adf_lags(t) if n_lags is None else n_lags
+    if lags < 0:
+        raise ValueError("n_lags must be >= 0")
     if t <= 2 * lags + 3:
         raise ValueError(f"T = {t} is too short for an ADF regression with "
                          f"n_lags = {lags} (need T > {2 * lags + 3}); no alpha can pass")

@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import multinet
-from .fracdiff import FracDiffSpec, default_adf_lags, find_min_alpha, fracdiff_apply
+from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
+                       find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
 from .panel import PanelSeries, csv_field, export_panel
 from .regression import FitConfig, fit_lambda_grid
@@ -53,18 +54,15 @@ class PipelineError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Every tunable of a pipeline run; unknown config keys are rejected."""
+class PipelineConfig(FitConfig):
+    """Every tunable of a pipeline run; unknown config keys are rejected.
+    The fit knobs and their checks are those of :class:`FitConfig`."""
 
     alpha: float | None = None          # fixed differencing order; None = search
     alpha_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     adf_level: float = 0.05
     adf_lags: int | None = None         # None = floor(12 * (T/100)^0.25)
     ranks: object = "full"
-    lambda_grid: tuple = (0.0, 1.0, 5.0, 10.0, 20.0, 50.0)
-    train_fraction: float = 0.9
-    max_sweeps: int = 200
-    rel_tol: float = 1e-8
     lag: int = 1
     filter_method: str = "polya"
     filter_a: float = 1.0
@@ -75,12 +73,11 @@ class PipelineConfig:
     missing_policy: str = "reject"
     drop_burn_in: bool = False
     out_dir: str = "run"
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.adf_level not in (0.01, 0.05, 0.10):
+        if self.adf_level not in ADF_CRITICAL_VALUES:
             raise ValueError("adf_level must be 0.01, 0.05 or 0.10")
         if self.adf_lags is not None and self.adf_lags < 0:
             raise ValueError("adf_lags must be >= 0")
@@ -98,27 +95,14 @@ class PipelineConfig:
             raise ValueError("missing_policy must be 'reject' or 'ffill'")
         object.__setattr__(self, "alpha_grid",
                            tuple(float(v) for v in self.alpha_grid))
-        object.__setattr__(self, "lambda_grid",
-                           tuple(float(v) for v in self.lambda_grid))
         if not isinstance(self.ranks, str):
             object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        # delegate the remaining numeric checks
-        self.fit_config()
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            max_sweeps=self.max_sweeps,
-            rel_tol=self.rel_tol,
-            lambda_grid=self.lambda_grid,
-            train_fraction=self.train_fraction,
-            seed=self.seed,
-        )
+        super().__post_init__()
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Parse the flat ``key = value`` config format with typed validation."""
         values = {}
-        known = {f.name for f in fields(cls)}
         with open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -127,7 +111,7 @@ class PipelineConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{line_no}: expected 'key = value'")
                 key, _, val = (s.strip() for s in line.partition("="))
-                if key not in known:
+                if key not in _DEFAULTS:
                     raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
                 if key in values:
                     raise ValueError(f"{path}:{line_no}: duplicate key {key!r}")
@@ -135,50 +119,42 @@ class PipelineConfig:
         return cls(**values)
 
     def resolved(self) -> dict:
-        """JSON-friendly view of every field, for the manifest."""
+        """JSON-friendly view of every field, in the config file's words."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "alpha" and value is None:
-                value = "search"
-            elif f.name == "adf_lags" and value is None:
-                value = "auto"
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+            if f.name in _WORDS and value == f.default:
+                value = _WORDS[f.name][0]
+            out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
-_BOOL_KEYS = {"overlap_normalized", "log_transform", "drop_burn_in"}
-_INT_KEYS = {"max_sweeps", "lag", "seed"}
-_FLOAT_KEYS = {"adf_level", "train_fraction", "rel_tol", "filter_a",
-               "retain_fraction", "log_epsilon"}
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
+# The fields whose default does not give their type: the word that stands for
+# the default, and a value of the type that any other text is read as.
+_WORDS = {"alpha": ("search", 0.0), "adf_lags": ("auto", 0), "ranks": ("full", (0,))}
 
 
 def _parse_config_value(key: str, val: str):
+    """Read the text of field ``key``, as a config file or a flag gives it."""
+    word, example = _WORDS.get(key, (None, _DEFAULTS[key]))
     try:
-        if key == "alpha":
-            return None if val == "search" else float(val)
-        if key == "adf_lags":
-            return None if val == "auto" else int(val)
-        if key == "ranks":
-            return "full" if val == "full" else tuple(
-                int(s) for s in val.split(","))
-        if key in ("alpha_grid", "lambda_grid"):
-            return tuple(float(s) for s in val.split(","))
-        if key in _BOOL_KEYS:
-            if val.lower() in ("true", "yes", "1"):
-                return True
-            if val.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {val!r}")
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
-        return val
+        return _DEFAULTS[key] if val == word else _parse_as(example, val)
     except ValueError as exc:
         raise ValueError(f"bad value for {key!r}: {exc}") from None
+
+
+def _parse_as(example, val: str):
+    """``val`` read as the type of ``example``; a tuple is a comma list."""
+    if isinstance(example, tuple):
+        return tuple(_parse_as(example[0], s) for s in val.split(","))
+    if isinstance(example, bool):
+        if val.lower() in ("true", "yes", "1"):
+            return True
+        if val.lower() in ("false", "no", "0"):
+            return False
+        raise ValueError(f"not a boolean: {val!r}")
+    return type(example)(val)
 
 
 def _fmt(value: float) -> str:
@@ -249,14 +225,13 @@ def fit_model(panel: PanelSeries, config: PipelineConfig):
     trained on the first ``train_fraction`` of lagged pairs with the
     selected lambda.
     """
-    fit_cfg = config.fit_config()
-    model, report, table = fit_lambda_grid(panel.values, config.ranks, fit_cfg,
+    model, report, table = fit_lambda_grid(panel.values, config.ranks, config,
                                            lag=config.lag)
     n_pairs = panel.values.shape[0] - config.lag
     n_train = int(n_pairs * config.train_fraction)
     info = {
         "lambda": model.ridge,
-        "r2_table": [[lam, table[lam]] for lam in fit_cfg.lambda_grid],
+        "r2_table": [[lam, table[lam]] for lam in config.lambda_grid],
         "ranks": list(model.coefficient.ranks),
         "n_train": n_train,
         "n_test": n_pairs - n_train,

@@ -59,6 +59,8 @@ class FitConfig:
             raise ValueError("rel_tol must be finite and > 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         grid = tuple(float(v) for v in self.lambda_grid)
         if not all(0.0 <= v < math.inf for v in grid):
             raise ValueError("lambda_grid values must be finite and >= 0")

@@ -204,6 +204,11 @@ class TestFindMinAlpha:
         with pytest.raises(ValueError, match=r"T = 10 .* n_lags = 6"):
             find_min_alpha(panel, (0.0, 0.5, 1.0))
 
+    def test_negative_n_lags_is_rejected_not_read_as_nonstationary(self):
+        panel = np.random.default_rng(16).standard_normal((500, 4))
+        with pytest.raises(ValueError, match="n_lags must be >= 0"):
+            find_min_alpha(panel, (0.0, 0.5), n_lags=-2)
+
     def test_grid_validation(self):
         panel = np.random.default_rng(13).standard_normal((100, 2))
         with pytest.raises(ValueError, match="empty"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multitar.cli import main
+from multitar.cli import _load_config, build_parser, main
 from multitar.multinet import apply_filter, from_coefficient
 from multitar.netfilter import (
     WeightedDigraph,
@@ -142,6 +142,51 @@ class TestConfig:
         resolved = cfg.resolved()
         for f in dataclasses.fields(PipelineConfig):
             assert f.name in resolved
+
+    # every field set away from its default
+    NON_DEFAULT = dict(
+        alpha=0.25, alpha_grid=(0.0, 0.25, 0.75), adf_level=0.01, adf_lags=4,
+        ranks=(3, 2, 3, 2), lambda_grid=(0.5, 2.0), train_fraction=0.8,
+        max_sweeps=17, rel_tol=1e-6, lag=2, filter_method="hard",
+        filter_a=0.5, retain_fraction=0.3, overlap_normalized=True,
+        log_transform=False, log_epsilon=0.125, missing_policy="ffill",
+        drop_burn_in=True, out_dir="elsewhere", seed=9)
+
+    @pytest.mark.parametrize("cfg", [PipelineConfig(),
+                                     PipelineConfig(**NON_DEFAULT)])
+    def test_resolved_reads_back_through_from_file(self, cfg, tmp_path):
+        f = tmp_path / "resolved.conf"
+        f.write_text("".join(
+            f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+            for key, v in cfg.resolved().items()), encoding="utf-8")
+        assert PipelineConfig.from_file(f) == cfg
+
+    def test_non_default_config_sets_every_field(self):
+        defaults = PipelineConfig()
+        assert set(self.NON_DEFAULT) == {f.name for f in
+                                         dataclasses.fields(PipelineConfig)}
+        for key, value in self.NON_DEFAULT.items():
+            assert value != getattr(defaults, key), key
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+        f = tmp_path / "readme.conf"
+        f.write_text(block, encoding="utf-8")
+        assert PipelineConfig.from_file(f) == PipelineConfig()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            regression.FitConfig(seed=-1)
+        f = tmp_path / "seed.conf"
+        f.write_text("seed = -1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            PipelineConfig.from_file(f)
+        rc = main(["pipeline", "--input", "x.csv", "--seed", "-1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestRunPipeline:
@@ -657,6 +702,30 @@ class TestCli:
         assert rc == 0
         panel = ingest_csv(out)
         assert panel.values.shape == (40, 3, 2)
+
+    @pytest.mark.parametrize("flag,line", [
+        (["--out", "elsewhere"], "out_dir = elsewhere"),
+        (["--alpha", "0.3"], "alpha = 0.3"),
+        (["--alpha", "search"], "alpha = search"),
+        (["--lambda", "5"], "lambda_grid = 5"),
+        (["--lambda", "1, 5"], "lambda_grid = 1, 5"),
+        (["--retain", "0.05"], "retain_fraction = 0.05"),
+        (["--method", "hard"], "filter_method = hard"),
+        (["--seed", "7"], "seed = 7"),
+        (["--alpha", "0.3", "--method", "hard", "--retain", "0.05"],
+         "alpha = 0.3\nfilter_method = hard\nretain_fraction = 0.05"),
+    ])
+    def test_flag_equals_config_line(self, flag, line, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        args = build_parser().parse_args(["pipeline", "--input", "x.csv"] + flag)
+        assert _load_config(args) == PipelineConfig.from_file(conf)
+
+    def test_bad_flag_value_reported_as_in_config_file(self, tmp_path, capsys):
+        rc = main(["pipeline", "--input", "x.csv", "--alpha", "abc",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "bad value for 'alpha'" in capsys.readouterr().err
 
     def test_filter_cli_flag_validation(self, tmp_path, capsys):
         rc = main(["pipeline", "--input", "x.csv", "--retain", "2.0",
