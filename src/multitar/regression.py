@@ -25,6 +25,7 @@ held fixed, so the objective trace is non-increasing.
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
 import math
@@ -162,6 +163,24 @@ def _check_pair(x, y):
     return x, y
 
 
+# A training split, checked, centred and QR-factored once for every fit on it:
+# [r_x | r_y] is the R factor of the centred [Xc | Yc], gram = r_x'r_x, cross =
+# r_x'r_y, and mode_grams[k] is the _mode_gram of r_x for regressor mode k.
+_Split = collections.namedtuple("_Split",
+                                "x_mean y_mean r_x r_y gram cross mode_grams")
+
+
+def _split(x, y) -> _Split:
+    x, y = _check_pair(x, y)
+    x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
+    n, p = x.shape[0], x[0].size
+    centered = np.hstack([(x - x_mean).reshape(n, p), (y - y_mean).reshape(n, -1)])
+    r_x, r_y = np.hsplit(np.linalg.qr(centered, mode="r"), [p])
+    xc = r_x.reshape((-1,) + x.shape[1:])
+    return _Split(x_mean, y_mean, r_x, r_y, r_x.T @ r_x, r_x.T @ r_y,
+                  tuple(_mode_gram(xc, k) for k in range(x.ndim - 1)))
+
+
 def _solve_spd(a, rhs, context, ridge):
     """Solve a symmetric PSD system from a penalized least-squares block.
 
@@ -211,17 +230,17 @@ def closed_form_fit(x, y, ridge: float) -> np.ndarray:
     if not 0.0 <= ridge < math.inf:
         raise ValueError("ridge must be finite and >= 0")
     xu = x.reshape(x.shape[0], -1)
+    xc = xu - xu.mean(axis=0)
     yu = y.reshape(y.shape[0], -1)
-    return _ridge_solve(xu - xu.mean(axis=0), yu - yu.mean(axis=0), ridge,
+    return _ridge_solve(xc.T @ xc, xc.T @ (yu - yu.mean(axis=0)), ridge,
                         "closed_form_fit")
 
 
-def _ridge_solve(xc, yc, ridge, context):
-    """``(xc' xc + ridge I)^-1 xc' yc`` for the matrices ``xc`` and ``yc``."""
-    gram = xc.T @ xc
+def _ridge_solve(gram, cross, ridge, context):
+    """``(gram + ridge I)^-1 cross``, for ``gram = X'X`` and ``cross = X'Y``."""
     if ridge > 0.0:
         gram = gram + ridge * np.eye(gram.shape[0])
-    return _solve_spd(gram, xc.T @ yc, context, ridge)
+    return _solve_spd(gram, cross, context, ridge)
 
 
 def _partial(core, factors, n_reg, skip=-1):
@@ -247,7 +266,13 @@ def _update_core(xc, yc, core_shape, factors, n_reg, ridge):
     return gu.reshape(core_shape)
 
 
-def _update_regressor_factor(xc, yc, core, factors, k, ridge):
+def _mode_gram(xc, k):
+    """``x'x`` over the rows for ``x = xc`` with regressor mode ``k`` first."""
+    x = np.moveaxis(xc, k + 1, 1).reshape(xc.shape[0], xc.shape[k + 1], -1)
+    return np.tensordot(x, x, axes=(0, 0))
+
+
+def _update_regressor_factor(xc, yc, core, factors, k, ridge, xtx=None):
     n = xc.shape[0]
     i_d, r_d = factors[k].shape
     # B = P x_k U_k for the partial P, so with o over the other regressor modes
@@ -255,7 +280,7 @@ def _update_regressor_factor(xc, yc, core, factors, k, ridge):
     x = np.moveaxis(xc, k + 1, 1).reshape(n, i_d, -1)
     part = unfold(_partial(core, factors, xc.ndim - 1, k), k)
     p = part.reshape(r_d, x.shape[2], -1)
-    xtx = np.tensordot(x, x, axes=(0, 0))
+    xtx = _mode_gram(xc, k) if xtx is None else xtx
     ptp = np.tensordot(p, p, axes=(2, 2))
     dtd = np.tensordot(xtx, ptp, axes=((1, 3), (1, 3))).transpose(0, 2, 1, 3)
     dtd = dtd.reshape(i_d * r_d, i_d * r_d)
@@ -298,18 +323,20 @@ def _objective(r_x, r_y, b, ridge):
     return float(np.sum(resid * resid)) + ridge * float(np.sum(b * b))
 
 
-def _als_sweeps(xc, yc, ranks, factors, ridge, config):
+def _als_sweeps(split, ranks, factors, ridge, config):
     """ALS from ``factors`` (updated in place); ``(core, B, trace, converged)``."""
-    n_reg = xc.ndim - 1
-    r_x = xc.reshape(xc.shape[0], -1)
-    r_y = yc.reshape(yc.shape[0], -1)
+    r_x, r_y, n_reg = split.r_x, split.r_y, split.x_mean.ndim
+    xc = r_x.reshape((-1,) + split.x_mean.shape)
+    yc = r_y.reshape((-1,) + split.y_mean.shape)
     floor = 1e-12 * (float(np.sum(r_y * r_y)) + 1e-300)
     trace = []
     for sweep in range(config.max_sweeps):
         core = _update_core(xc, yc, ranks, factors, n_reg, ridge)
-        for d in range(len(ranks)):
-            update = _update_regressor_factor if d < n_reg else _update_response_factor
-            factors[d] = update(xc, yc, core, factors, d, ridge)
+        for d in range(n_reg):
+            factors[d] = _update_regressor_factor(xc, yc, core, factors, d, ridge,
+                                                  split.mode_grams[d])
+        for d in range(n_reg, len(ranks)):
+            factors[d] = _update_response_factor(xc, yc, core, factors, d, ridge)
         b = _partial(core, factors, n_reg)
         obj = _objective(r_x, r_y, b, ridge)
         if not math.isfinite(obj):
@@ -323,7 +350,8 @@ def _als_sweeps(xc, yc, ranks, factors, ridge, config):
     return core, b, trace, False
 
 
-def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
+def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None, *,
+            split: _Split | None = None):
     """Fit the penalized Tucker autoregression; full rank is one ridge solve.
 
     Parameters
@@ -334,32 +362,26 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
         those of ``y``.
     ridge : nonnegative shrinkage weight on ``||B||_F^2``.
     config : FitConfig, optional.
+    split : the :func:`_split` of this ``x, y``, private to
+        :func:`fit_lambda_grid`, which factors its training split once.
 
     Returns
     -------
     (TarModel, FitReport)
     """
-    x, y = _check_pair(x, y)
+    split = _split(x, y) if split is None else split
     if not 0.0 <= ridge < math.inf:
         raise ValueError("ridge must be finite and >= 0")
     config = config or FitConfig()
-    n_reg = x.ndim - 1
-    dims = x.shape[1:] + y.shape[1:]
+    x_mean, y_mean, n_reg = split.x_mean, split.y_mean, split.x_mean.ndim
+    dims = x_mean.shape + y_mean.shape
     ranks = resolve_ranks(ranks, dims)
-
-    x_mean = x.mean(axis=0)
-    y_mean = y.mean(axis=0)
-    n, p = x.shape[0], x[0].size
-    centered = np.hstack([(x - x_mean).reshape(n, p), (y - y_mean).reshape(n, -1)])
-    r_x, r_y = np.hsplit(np.linalg.qr(centered, mode="r"), [p])
-    xc = r_x.reshape((-1,) + x.shape[1:])
-    yc = r_y.reshape((-1,) + y.shape[1:])
 
     # at full rank the Tucker model is the unstructured ridge VAR, so this
     # solve is the fit; below full rank it seeds the factors
     full_rank = ranks == dims
     try:
-        b = _ridge_solve(r_x, r_y, ridge, "ridge solve").reshape(dims)
+        b = _ridge_solve(split.gram, split.cross, ridge, "ridge solve").reshape(dims)
     except SingularSystemError:
         if full_rank:
             raise
@@ -367,10 +389,10 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
 
     if full_rank:
         core, factors = b, [np.eye(d) for d in dims]
-        trace, converged = [_objective(r_x, r_y, b, ridge)], True
+        trace, converged = [_objective(split.r_x, split.r_y, b, ridge)], True
     else:
         factors = _init_factors(b, dims, ranks, config.seed)
-        core, b, trace, converged = _als_sweeps(xc, yc, ranks, factors, ridge, config)
+        core, b, trace, converged = _als_sweeps(split, ranks, factors, ridge, config)
 
     intercept = y_mean[None] - np.tensordot(x_mean[None], b, axes=n_reg)
     coefficient = TuckerFactors(core, tuple(factors))
@@ -428,9 +450,10 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
     x_tr, y_tr = x[:n_train], y[:n_train]
     x_te, y_te = x[n_train:], y[n_train:]
 
+    split = _split(x_tr, y_tr)
     table, fits = {}, {}
     for lam in config.lambda_grid:
-        model, report = als_fit(x_tr, y_tr, ranks, lam, config)
+        model, report = als_fit(x_tr, y_tr, ranks, lam, config, split=split)
         table[lam] = predicted_r2(model, x_te, y_te)
         fits[lam] = model, replace(report, predicted_r2=table[lam])
     unconverged = [lam for lam, (_, report) in fits.items() if not report.converged]

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multitar import regression
 from multitar.regression import (
     FitConfig,
     SingularSystemError,
@@ -632,6 +633,49 @@ class TestSelectLambda:
         with caplog.at_level(logging.DEBUG, logger="multitar.regression"):
             fit_lambda_grid(panel, "full", config)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("ranks", ["full", (2, 2, 2, 2)])
+    def test_grid_factors_the_training_rows_once(self, ranks, monkeypatch):
+        panel = np.random.default_rng(25).standard_normal((80, 3, 2))
+        shapes = []
+        real_qr = np.linalg.qr
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        config = FitConfig(max_sweeps=5, seed=25)
+        fit_lambda_grid(panel, ranks, config)
+        assert shapes == [(int(79 * config.train_fraction), 12)]
+
+    @pytest.mark.parametrize("ranks", ["full", (2, 2, 2, 2)])
+    def test_grid_models_equal_standalone_fits(self, ranks, monkeypatch):
+        # the grid's shared split must not change a single bit of any fit
+        panel = np.random.default_rng(26).standard_normal((80, 3, 2))
+        config = FitConfig(max_sweeps=5, lambda_grid=(0.0, 1.0, 20.0), seed=26)
+        real, fits = regression.als_fit, []
+
+        def recording(*args, **kwargs):
+            fits.append(real(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(regression, "als_fit", recording)
+        fit_lambda_grid(panel, ranks, config)
+        x, y = build_lagged_pairs(panel, 1)
+        n_train = int(x.shape[0] * config.train_fraction)
+        assert len(fits) == len(config.lambda_grid)
+        for lam, (model, report) in zip(config.lambda_grid, fits):
+            alone, alone_report = real(x[:n_train], y[:n_train], ranks, lam, config)
+            for got, want in [(model.intercept, alone.intercept),
+                              (model.x_mean, alone.x_mean),
+                              (model.y_mean, alone.y_mean),
+                              (model.coefficient.core, alone.coefficient.core),
+                              *zip(model.coefficient.factors,
+                                   alone.coefficient.factors)]:
+                assert np.array_equal(got, want)
+            assert report.objective_trace == alone_report.objective_trace
+            assert report.n_sweeps == alone_report.n_sweeps
 
 
 def test_fit_config_validation():
