@@ -12,7 +12,9 @@ reconstructed ``B``, not on the individual Tucker blocks.
 
 Fits run on ``[R_x | R_y]``, the R factor of the centered ``[Xc | Yc]``
 (at most ``p + q`` rows): it has the same Gram matrices and the same residual
-norms ``||R_y - R_x B|| = ||Yc - Xc B||``, so no fit step grows with T.
+norms ``||R_y - R_x B|| = ||Yc - Xc B||``, so no fit step grows with T.  The
+lambda grid factors its training split once for all of its fits, and every
+solve comes from ``numpy.linalg``, so a fit runs on numpy's BLAS alone.
 At full Tucker rank the model is the unstructured ridge VAR on the
 unfoldings, and the fit is one ridge solve ``(R_x'R_x + ridge I)^-1 R_x'R_y``
 with identity factors.  Below full rank that solve seeds each factor with the
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .tensor_ops import TuckerFactors, as_tensor, unfold
 
@@ -99,10 +100,9 @@ class TarModel:
         nx = self.x_mean.ndim
         shape = self.coefficient.shape
         if shape[:nx] != self.x_mean.shape or shape[nx:] != self.y_mean.shape:
-            raise ValueError(
-                f"coefficient shape {shape} does not match regressor dims "
-                f"{self.x_mean.shape} + response dims {self.y_mean.shape}"
-            )
+            raise ValueError(f"coefficient shape {shape} does not match regressor "
+                             f"dims {self.x_mean.shape} + response dims "
+                             f"{self.y_mean.shape}")
         if self.intercept.shape != (1,) + self.y_mean.shape:
             raise ValueError("intercept must have shape (1, *response_dims)")
 
@@ -152,8 +152,7 @@ def resolve_ranks(ranks, dims) -> tuple:
 
 
 def _check_pair(x, y):
-    x = as_tensor(x)
-    y = as_tensor(y)
+    x, y = as_tensor(x), as_tensor(y)
     if x.ndim < 2 or y.ndim < 2:
         raise ValueError("x and y need a sample mode plus at least one data mode")
     if x.shape[0] != y.shape[0]:
@@ -166,8 +165,7 @@ def _check_pair(x, y):
 # A training split, checked, centred and QR-factored once for every fit on it:
 # [r_x | r_y] is the R factor of the centred [Xc | Yc], gram = r_x'r_x, cross =
 # r_x'r_y, and mode_grams[k] is the _mode_gram of r_x for regressor mode k.
-_Split = collections.namedtuple("_Split",
-                                "x_mean y_mean r_x r_y gram cross mode_grams")
+_Split = collections.namedtuple("_Split", "x_mean y_mean r_x r_y gram cross mode_grams")
 
 
 def _split(x, y) -> _Split:
@@ -188,34 +186,30 @@ def _solve_spd(a, rhs, context, ridge):
     ``ridge == 0`` that is an error (the caller must raise lambda).  With
     ``ridge > 0`` a singular ALS block has flat directions, where its penalty
     ``ridge * W'W`` is singular too; its normal equations are still
-    consistent, so the minimum-norm solution is returned.  A Cholesky solve
-    would put large steps along the flat directions, whose rounding can raise
+    consistent, so the minimum-norm solution is returned, as a Cholesky solve
+    would take large steps along the flat directions, whose rounding can raise
     the objective.  An identity penalty keeps every eigenvalue at or above
     ``ridge``, so the minimum-norm solution also needs the smallest below
     ``ridge / 2``: a ridge solve on badly scaled data stays a Cholesky solve.
-    ``trace(a) * trace(a^-1)`` bounds the spread from above and costs one
-    triangular inverse, so only systems it cannot clear get eigenvalues.
+    ``trace(a) * trace(a^-1)`` bounds the spread from above; it costs the
+    inverse of the Cholesky factor, which then gives the solution.
     """
     singular = (f"singular normal equations in {context} with lambda = 0; "
                 "raise lambda to regularize")
     try:
-        cf = scipy.linalg.cho_factor(a, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        inv = np.linalg.inv(np.linalg.cholesky(a))  # a = l l', inv = l^-1
+    except np.linalg.LinAlgError:
         if ridge > 0.0:
-            sol, _, _, _ = scipy.linalg.lstsq(a, rhs, check_finite=False)
-            return sol
+            return np.linalg.lstsq(a, rhs, rcond=1e-13)[0]
         raise SingularSystemError(singular) from None
-    inv = np.triu(scipy.linalg.lapack.dtrtri(cf[0])[0])  # a = u'u, u upper
     if np.trace(a) * np.sum(inv * inv) > 1e13:
         eig = np.linalg.eigvalsh(a)
         if eig[0] <= 1e-13 * eig[-1]:
             if ridge == 0.0:
                 raise SingularSystemError(singular)
             if eig[0] < 0.5 * ridge:
-                sol, _, _, _ = scipy.linalg.lstsq(a, rhs, cond=1e-13,
-                                                  check_finite=False)
-                return sol
-    return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+                return np.linalg.lstsq(a, rhs, rcond=1e-13)[0]
+    return inv.T @ (inv @ rhs)
 
 
 def closed_form_fit(x, y, ridge: float) -> np.ndarray:
@@ -232,15 +226,8 @@ def closed_form_fit(x, y, ridge: float) -> np.ndarray:
     xu = x.reshape(x.shape[0], -1)
     xc = xu - xu.mean(axis=0)
     yu = y.reshape(y.shape[0], -1)
-    return _ridge_solve(xc.T @ xc, xc.T @ (yu - yu.mean(axis=0)), ridge,
-                        "closed_form_fit")
-
-
-def _ridge_solve(gram, cross, ridge, context):
-    """``(gram + ridge I)^-1 cross``, for ``gram = X'X`` and ``cross = X'Y``."""
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(gram.shape[0])
-    return _solve_spd(gram, cross, context, ridge)
+    gram = xc.T @ xc + ridge * np.eye(xc.shape[1])
+    return _solve_spd(gram, xc.T @ (yu - yu.mean(axis=0)), "closed_form_fit", ridge)
 
 
 def _partial(core, factors, n_reg, skip=-1):
@@ -258,9 +245,7 @@ def _update_core(xc, yc, core_shape, factors, n_reg, ridge):
     w_x = functools.reduce(np.kron, factors[:n_reg])
     w_y = functools.reduce(np.kron, factors[n_reg:])
     z = xc.reshape(n, -1) @ w_x
-    lhs = z.T @ z
-    if ridge > 0.0:
-        lhs = lhs + ridge * (w_x.T @ w_x)
+    lhs = z.T @ z + ridge * (w_x.T @ w_x)
     gu = _solve_spd(lhs, z.T @ (yc.reshape(n, -1) @ w_y), "core update", ridge)
     gu = _solve_spd(w_y.T @ w_y, gu.T, "core update", ridge).T
     return gu.reshape(core_shape)
@@ -283,25 +268,20 @@ def _update_regressor_factor(xc, yc, core, factors, k, ridge, xtx=None):
     xtx = _mode_gram(xc, k) if xtx is None else xtx
     ptp = np.tensordot(p, p, axes=(2, 2))
     dtd = np.tensordot(xtx, ptp, axes=((1, 3), (1, 3))).transpose(0, 2, 1, 3)
-    dtd = dtd.reshape(i_d * r_d, i_d * r_d)
+    dtd = dtd.reshape(i_d * r_d, -1) + ridge * np.kron(np.eye(i_d), part @ part.T)
     yp = np.tensordot(yc.reshape(n, -1), p, axes=(1, 2))
     rhs = np.tensordot(x, yp, axes=((0, 2), (0, 2))).reshape(-1)
-    if ridge > 0.0:
-        dtd = dtd + ridge * np.kron(np.eye(i_d), part @ part.T)
     sol = _solve_spd(dtd, rhs, f"factor {k} update", ridge)
     return sol.reshape(i_d, r_d)
 
 
 def _update_response_factor(xc, yc, core, factors, d, ridge):
-    n = xc.shape[0]
-    n_reg = xc.ndim - 1
+    n, n_reg = xc.shape[0], xc.ndim - 1
     part = _partial(core, factors, n_reg, d)
     # yhat = H x_d U_d for H = R_x . P, so the response unfolding is U_d H_(d)
     h = xc.reshape(n, -1) @ part.reshape(xc[0].size, -1)
     h = unfold(h.reshape((n,) + part.shape[n_reg:]), d - n_reg + 1)
-    lhs = h @ h.T
-    if ridge > 0.0:
-        lhs = lhs + ridge * (unfold(part, d) @ unfold(part, d).T)
+    lhs = h @ h.T + ridge * (unfold(part, d) @ unfold(part, d).T)
     rhs = h @ unfold(yc, d - n_reg + 1).T
     return _solve_spd(lhs, rhs, f"factor {d} update", ridge).T.copy()
 
@@ -340,9 +320,8 @@ def _als_sweeps(split, ranks, factors, ridge, config):
         b = _partial(core, factors, n_reg)
         obj = _objective(r_x, r_y, b, ridge)
         if not math.isfinite(obj):
-            raise SingularSystemError(
-                "ALS objective diverged; the problem is ill-posed, raise lambda"
-            )
+            raise SingularSystemError("ALS objective diverged; the problem is "
+                                      "ill-posed, raise lambda")
         trace.append(obj)
         scale = max(abs(trace[-2]), floor) if sweep else None
         if sweep and abs(trace[-2] - obj) <= config.rel_tol * scale:
@@ -354,20 +333,12 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None, *,
             split: _Split | None = None):
     """Fit the penalized Tucker autoregression; full rank is one ridge solve.
 
-    Parameters
-    ----------
-    x, y : arrays with the shared sample mode first.
-    ranks : "full" or one rank per coefficient mode
-        Coefficient modes are the non-sample modes of ``x`` followed by
-        those of ``y``.
-    ridge : nonnegative shrinkage weight on ``||B||_F^2``.
-    config : FitConfig, optional.
-    split : the :func:`_split` of this ``x, y``, private to
-        :func:`fit_lambda_grid`, which factors its training split once.
-
-    Returns
-    -------
-    (TarModel, FitReport)
+    ``x`` and ``y`` share the sample mode first.  ``ranks`` is ``"full"`` or
+    one rank per coefficient mode: the non-sample modes of ``x``, then those
+    of ``y``.  ``ridge`` is the nonnegative weight on ``||B||_F^2``.  ``split``
+    is private to :func:`fit_lambda_grid`, which passes the :func:`_split` of
+    this ``x, y`` so that its grid factors the split once.  Returns
+    ``(TarModel, FitReport)``.
     """
     split = _split(x, y) if split is None else split
     if not 0.0 <= ridge < math.inf:
@@ -381,7 +352,8 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None, *,
     # solve is the fit; below full rank it seeds the factors
     full_rank = ranks == dims
     try:
-        b = _ridge_solve(split.gram, split.cross, ridge, "ridge solve").reshape(dims)
+        gram = split.gram + ridge * np.eye(len(split.gram))
+        b = _solve_spd(gram, split.cross, "ridge solve", ridge).reshape(dims)
     except SingularSystemError:
         if full_rank:
             raise
@@ -408,10 +380,8 @@ def predict(model: TarModel, x) -> np.ndarray:
     x = as_tensor(x)
     n_reg = model.x_mean.ndim
     if x.ndim != n_reg + 1 or x.shape[1:] != model.x_mean.shape:
-        raise ValueError(
-            f"regressor dims {x.shape[1:]} do not match model dims "
-            f"{model.x_mean.shape}"
-        )
+        raise ValueError(f"regressor dims {x.shape[1:]} do not match model dims "
+                         f"{model.x_mean.shape}")
     return model.intercept + np.tensordot(x, model.coefficient_tensor(), axes=n_reg)
 
 
@@ -443,10 +413,8 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
     n = x.shape[0]
     n_train = int(n * config.train_fraction)
     if n_train < 1 or n_train >= n:
-        raise ValueError(
-            f"train_fraction {config.train_fraction} leaves an empty split "
-            f"for {n} samples"
-        )
+        raise ValueError(f"train_fraction {config.train_fraction} leaves an "
+                         f"empty split for {n} samples")
     x_tr, y_tr = x[:n_train], y[:n_train]
     x_te, y_te = x[n_train:], y[n_train:]
 

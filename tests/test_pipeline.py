@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -731,3 +733,17 @@ class TestCli:
         rc = main(["pipeline", "--input", "x.csv", "--retain", "2.0",
                    "--out", str(tmp_path)])
         assert rc != 0
+
+def test_full_run_does_not_load_scipy_linalg(tmp_path):
+    # numpy and scipy.linalg each bring their own OpenBLAS and thread pool,
+    # and alternating the two pools doubled the time of a fit's QR
+    src = os.path.dirname(os.path.dirname(regression.__file__))
+    code = ("import sys, multitar.cli\n"
+            "from multitar.pipeline import PipelineConfig, run_pipeline\n"
+            "from multitar.synthetic import generate_tar_panel\n"
+            "panel, _ = generate_tar_panel(n_entities=3, n_layers=2, "
+            "n_steps=200, seed=1)\n"
+            f"run_pipeline(PipelineConfig(out_dir={str(tmp_path)!r}), panel)\n"
+            "sys.exit('scipy.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -15,6 +15,7 @@ from multitar.regression import (
     FitConfig,
     SingularSystemError,
     _partial,
+    _solve_spd,
     _update_core,
     _update_regressor_factor,
     _update_response_factor,
@@ -676,6 +677,64 @@ class TestSelectLambda:
                 assert np.array_equal(got, want)
             assert report.objective_trace == alone_report.objective_trace
             assert report.n_sweeps == alone_report.n_sweeps
+
+
+def _spd(seed, n, rank, low):
+    """A PSD matrix of the given rank whose nonzero eigenvalues lie in
+    [low, 100 low]."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    return (q * (low * 10.0 ** rng.uniform(0.0, 2.0, rank))) @ q.T, rng
+
+
+class TestSolveSpd:
+    """``_solve_spd`` runs on numpy.linalg; scipy.linalg is only the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), n_rhs=st.integers(0, 3),
+           ridge=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_well_conditioned_matches_cho_solve(self, n, n_rhs, ridge, seed):
+        a, rng = _spd(seed, n, n, 1.0)
+        rhs = rng.standard_normal((n, n_rhs) if n_rhs else n)
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), rhs)
+        got = _solve_spd(a, rhs, "test", ridge)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 12), rank_draw=st.floats(0.0, 1.0),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), ridge=st.floats(0.01, 50.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rank_deficient_gives_minimum_norm(self, n, rank_draw, scale, ridge,
+                                               seed):
+        # consistent but singular: the flat directions of an ALS block
+        a, rng = _spd(seed, n, 1 + int(rank_draw * (n - 2)), scale)
+        rhs = a @ rng.standard_normal(n)
+        want = scipy.linalg.pinv(a) @ rhs
+        got = _solve_spd(a, rhs, "test", ridge * scale)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 12), rank_draw=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_singular_at_zero_ridge_raises(self, n, rank_draw, seed):
+        a, rng = _spd(seed, n, 1 + int(rank_draw * (n - 2)), 1.0)
+        with pytest.raises(SingularSystemError) as err:
+            _solve_spd(a, rng.standard_normal(n), "core update", 0.0)
+        assert str(err.value) == ("singular normal equations in core update with "
+                                  "lambda = 0; raise lambda to regularize")
+
+    def test_rounding_null_direction_is_not_solved_for(self):
+        # Cholesky fails on this rank-1 matrix, and a least-squares cutoff at
+        # machine epsilon kept a null singular value of 1.6e-16 relative,
+        # which moved the solution 81% away from the minimum-norm one
+        rng = np.random.default_rng(805)
+        n = rng.integers(2, 10)
+        b = rng.standard_normal((n, rng.integers(1, n)))  # 4 x 1
+        a = b @ b.T
+        rhs = a @ rng.standard_normal(n)
+        want = scipy.linalg.pinv(a) @ rhs
+        got = _solve_spd(a, rhs, "test", 1.0)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_fit_config_validation():
