@@ -75,6 +75,7 @@ class PipelineConfig(FitConfig):
     out_dir: str = "run"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.adf_level not in ADF_CRITICAL_VALUES:
@@ -97,7 +98,6 @@ class PipelineConfig(FitConfig):
                            tuple(float(v) for v in self.alpha_grid))
         if not isinstance(self.ranks, str):
             object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        super().__post_init__()
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":

@@ -31,7 +31,7 @@ import collections
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # also the int fields of subclasses
+            value = getattr(self, f.name)
+            if f.type == "int" or f.type == "int | None" and value is not None:
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"{f.name} must be an integer")
+                object.__setattr__(self, f.name, int(value))  # numpy ints too
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if not 0.0 < self.rel_tol < math.inf:
@@ -64,6 +70,8 @@ class FitConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         grid = tuple(float(v) for v in self.lambda_grid)
+        if not grid:
+            raise ValueError("lambda_grid is empty")
         if not all(0.0 <= v < math.inf for v in grid):
             raise ValueError("lambda_grid values must be finite and >= 0")
         object.__setattr__(self, "lambda_grid", grid)
@@ -407,8 +415,6 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
     lambda, with ``report.predicted_r2`` set; ``table`` maps lambda to R2.
     """
     config = config or FitConfig()
-    if not config.lambda_grid:
-        raise ValueError("lambda_grid is empty")
     x, y = build_lagged_pairs(panel, lag)
     n = x.shape[0]
     n_train = int(n * config.train_fraction)

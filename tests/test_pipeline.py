@@ -190,6 +190,29 @@ class TestConfig:
         assert rc == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cls, knob, value", [
+        (regression.FitConfig, "max_sweeps", 2.5),
+        (regression.FitConfig, "seed", 1.5),
+        (regression.FitConfig, "max_sweeps", True),
+        (PipelineConfig, "lag", 1.5),
+        (PipelineConfig, "adf_lags", 2.0),
+    ])
+    def test_non_integer_integer_knob_rejected(self, cls, knob, value):
+        # max_sweeps = 2.5 used to fail deep in the sweep loop, and the
+        # others were accepted and run
+        with pytest.raises(ValueError, match=f"^{knob} must be an integer$"):
+            cls(**{knob: value})
+
+    def test_numpy_integer_knobs_become_ints(self):
+        # a numpy int used to reach manifest.json, which json cannot write
+        cfg = PipelineConfig(max_sweeps=np.int64(3), seed=np.uint8(2),
+                             lag=np.int32(2), adf_lags=np.int64(4))
+        values = [cfg.max_sweeps, cfg.seed, cfg.lag, cfg.adf_lags]
+        assert values == [3, 2, 2, 4]
+        assert all(type(v) is int for v in values)
+        json.dumps(cfg.resolved())
+        assert PipelineConfig(adf_lags=None).adf_lags is None
+
 
 class TestRunPipeline:
     def test_artifacts_and_manifest(self, small_panel, small_config):
@@ -733,6 +756,7 @@ class TestCli:
         rc = main(["pipeline", "--input", "x.csv", "--retain", "2.0",
                    "--out", str(tmp_path)])
         assert rc != 0
+
 
 def test_full_run_does_not_load_scipy_linalg(tmp_path):
     # numpy and scipy.linalg each bring their own OpenBLAS and thread pool,
