@@ -108,9 +108,10 @@ class TarModel:
         nx = self.x_mean.ndim
         shape = self.coefficient.shape
         if shape[:nx] != self.x_mean.shape or shape[nx:] != self.y_mean.shape:
-            raise ValueError(f"coefficient shape {shape} does not match regressor "
-                             f"dims {self.x_mean.shape} + response dims "
-                             f"{self.y_mean.shape}")
+            raise ValueError(
+                f"coefficient shape {shape} does not match regressor dims "
+                f"{self.x_mean.shape} + response dims {self.y_mean.shape}"
+            )
         if self.intercept.shape != (1,) + self.y_mean.shape:
             raise ValueError("intercept must have shape (1, *response_dims)")
 
@@ -388,8 +389,10 @@ def predict(model: TarModel, x) -> np.ndarray:
     x = as_tensor(x)
     n_reg = model.x_mean.ndim
     if x.ndim != n_reg + 1 or x.shape[1:] != model.x_mean.shape:
-        raise ValueError(f"regressor dims {x.shape[1:]} do not match model dims "
-                         f"{model.x_mean.shape}")
+        raise ValueError(
+            f"regressor dims {x.shape[1:]} do not match model dims "
+            f"{model.x_mean.shape}"
+        )
     return model.intercept + np.tensordot(x, model.coefficient_tensor(), axes=n_reg)
 
 
