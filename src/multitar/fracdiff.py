@@ -173,7 +173,8 @@ def find_min_alpha(columns, alpha_grid, level: float = 0.05,
     with full-length weights and accepted when the ADF test rejects the unit
     root for every series.  Columns whose ADF regression is degenerate count
     as non-stationary for that candidate.  A panel too short for the ADF
-    regression at ``n_lags`` fails before any candidate is tried.
+    regression at ``n_lags`` fails before any candidate is tried.  If none
+    passes, the error names the last candidate's first failing column and why.
     """
     panel = np.asarray(columns, dtype=np.float64)
     if panel.ndim == 1:
@@ -200,12 +201,14 @@ def find_min_alpha(columns, alpha_grid, level: float = 0.05,
                                                   n_weights=panel.shape[0]))
         for j in range(diff.shape[1]):
             try:
-                if not adf_test(diff[:, j], n_lags, level).reject_unit_root:
-                    break
-            except ValueError:
+                result = adf_test(diff[:, j], n_lags, level)
+            except ValueError as exc:
+                reason = str(exc)
+                break
+            if not result.reject_unit_root:
+                reason = f"ADF statistic {result.statistic:.4g} keeps the unit root"
                 break
         else:
             return alpha
-    raise ValueError(
-        "no grid value achieves panel-wide stationarity; extend the grid"
-    )
+    raise ValueError("no grid value achieves panel-wide stationarity; extend the "
+                     f"grid (at alpha = {alpha}, column {j} fails: {reason})")

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import re
-import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass, fields
 
@@ -27,13 +26,26 @@ from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
                        find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
 from .panel import PanelSeries, csv_field, export_panel
-from .regression import FitConfig, fit_lambda_grid
+from .regression import FitConfig, check_ranks, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 _XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 _GRAPHML_SCHEMA = "http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd"
 # characters XML 1.0 cannot carry, not even as a character reference
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# ElementTree's escapes; a raw CR would read back as LF, so it is a reference
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
+_XML_ATTR = _XML_TEXT | str.maketrans({'"': "&quot;", "\n": "&#10;", "\t": "&#09;"})
+_GRAPHML_HEAD = f"""<?xml version='1.0' encoding='utf-8'?>
+<graphml xmlns="{GRAPHML_NS}" xmlns:xsi="{_XSI_NS}" \
+xsi:schemaLocation="{GRAPHML_NS} {_GRAPHML_SCHEMA}">
+  <key id="d_entity" for="node" attr.name="entity" attr.type="string" />
+  <key id="d_layer" for="node" attr.name="layer" attr.type="string" />
+  <key id="d_strength" for="node" attr.name="strength" attr.type="double" />
+  <key id="d_coreness" for="node" attr.name="coreness" attr.type="long" />
+  <key id="d_weight" for="edge" attr.name="weight" attr.type="double" />
+  <key id="d_pvalue" for="edge" attr.name="p_value" attr.type="double" />
+  <graph id="multilayer" edgedefault="directed">"""
 
 NETWORK_HEADER = ["src_entity", "src_layer", "dst_entity", "dst_layer",
                   "weight", "p_value", "kept"]
@@ -96,8 +108,7 @@ class PipelineConfig(FitConfig):
             raise ValueError("missing_policy must be 'reject' or 'ffill'")
         object.__setattr__(self, "alpha_grid",
                            tuple(float(v) for v in self.alpha_grid))
-        if not isinstance(self.ranks, str):
-            object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", check_ranks(self.ranks))
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -388,11 +399,20 @@ def _node_id(entity: str, layer: str) -> str:
 
 
 def _kept_edges(net: MultilayerNetwork):
-    """``(source id, target id, (j, l, i, k))`` of each kept edge, in the
+    """``(source id, target id, weight, p-value)`` of each kept edge, in the
     block order of the edge CSV."""
-    ent, lay = net.entity_labels, net.layer_labels
-    for j, l, i, k in zip(*np.nonzero(net.kept)):
-        yield _node_id(ent[i], lay[j]), _node_id(ent[k], lay[l]), (j, l, i, k)
+    ent, lay, kept = net.entity_labels, net.layer_labels, net.kept
+    for j, l, i, k, w, p in zip(*(a.tolist() for a in np.nonzero(kept)),
+                                net.blocks[kept].tolist(),
+                                net.p_values[kept].tolist()):
+        yield _node_id(ent[i], lay[j]), _node_id(ent[k], lay[l]), w, p
+
+
+def _graphml_data(key: str, text: str) -> str:
+    """A node's ``<data>`` line; empty text closes the tag, as in ElementTree."""
+    text = text.translate(_XML_TEXT)
+    return (f'      <data key="{key}">{text}</data>' if text
+            else f'      <data key="{key}" />')
 
 
 def _write_graphml(net: MultilayerNetwork, path: str, strength,
@@ -400,55 +420,23 @@ def _write_graphml(net: MultilayerNetwork, path: str, strength,
     for label in (*net.entity_labels, *net.layer_labels):
         if _NOT_XML.search(label):
             raise ValueError(f"XML 1.0 cannot carry the label {label!r}")
-    ET.register_namespace("", GRAPHML_NS)
-    root = ET.Element(f"{{{GRAPHML_NS}}}graphml")
-    root.set(f"{{{_XSI_NS}}}schemaLocation", f"{GRAPHML_NS} {_GRAPHML_SCHEMA}")
-    keys = [
-        ("d_entity", "node", "entity", "string"),
-        ("d_layer", "node", "layer", "string"),
-        ("d_strength", "node", "strength", "double"),
-        ("d_coreness", "node", "coreness", "long"),
-        ("d_weight", "edge", "weight", "double"),
-        ("d_pvalue", "edge", "p_value", "double"),
-    ]
-    for key_id, domain, name, typ in keys:
-        el = ET.SubElement(root, f"{{{GRAPHML_NS}}}key")
-        el.set("id", key_id)
-        el.set("for", domain)
-        el.set("attr.name", name)
-        el.set("attr.type", typ)
-    graph = ET.SubElement(root, f"{{{GRAPHML_NS}}}graph")
-    graph.set("id", "multilayer")
-    graph.set("edgedefault", "directed")
-
-    for i, entity in enumerate(net.entity_labels):
-        for j, layer in enumerate(net.layer_labels):
-            node = ET.SubElement(graph, f"{{{GRAPHML_NS}}}node")
-            node.set("id", _node_id(entity, layer))
-            for key_id, text in (
-                ("d_entity", entity),
-                ("d_layer", layer),
-                ("d_strength", _fmt(strength[i, j])),
-                ("d_coreness", str(int(coreness[i, j]))),
-            ):
-                data = ET.SubElement(node, f"{{{GRAPHML_NS}}}data")
-                data.set("key", key_id)
-                data.text = text
-    for src, dst, idx in _kept_edges(net):
-        edge = ET.SubElement(graph, f"{{{GRAPHML_NS}}}edge")
-        edge.set("source", src)
-        edge.set("target", dst)
-        for key_id, text in (("d_weight", _fmt(net.blocks[idx])),
-                             ("d_pvalue", _fmt(net.p_values[idx]))):
-            data = ET.SubElement(edge, f"{{{GRAPHML_NS}}}data")
-            data.set("key", key_id)
-            data.text = text
-    ET.indent(root, space="  ")
-    # ElementTree leaves a carriage return in element text raw, and XML
-    # parsers read a raw one back as a newline; a character reference survives
-    with open(path, "wb") as fh:
-        fh.write(ET.tostring(root, encoding="utf-8", xml_declaration=True)
-                 .replace(b"\r", b"&#13;"))
+    lines = [_GRAPHML_HEAD]
+    nodes = itertools.product(net.entity_labels, net.layer_labels)
+    for (entity, layer), s, c in zip(nodes, strength.ravel().tolist(),
+                                     coreness.ravel().tolist()):
+        lines += [f'    <node id="{_node_id(entity, layer).translate(_XML_ATTR)}">',
+                  _graphml_data("d_entity", entity),
+                  _graphml_data("d_layer", layer),
+                  f'      <data key="d_strength">{_fmt(s)}</data>',
+                  f'      <data key="d_coreness">{int(c)}</data>', "    </node>"]
+    for src, dst, w, p in _kept_edges(net):
+        lines += [f'    <edge source="{src.translate(_XML_ATTR)}" '
+                  f'target="{dst.translate(_XML_ATTR)}">',
+                  f'      <data key="d_weight">{_fmt(w)}</data>',
+                  f'      <data key="d_pvalue">{_fmt(p)}</data>', "    </edge>"]
+    lines += ["  </graph>", "</graphml>"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines))
 
 
 def _dot_quote(s: str) -> str:
@@ -457,19 +445,15 @@ def _dot_quote(s: str) -> str:
 
 def _write_dot(net: MultilayerNetwork, path: str, strength, coreness) -> None:
     lines = ["digraph multilayer {"]
-    for j, layer in enumerate(net.layer_labels):
-        lines.append(f"  subgraph cluster_{j} {{")
-        lines.append(f"    label={_dot_quote(layer)};")
-        for i, entity in enumerate(net.entity_labels):
-            lines.append(
-                f"    {_dot_quote(_node_id(entity, layer))} "
-                f"[strength={_fmt(strength[i, j])}, "
-                f"coreness={int(coreness[i, j])}];"
-            )
+    for j, (layer, strengths, cores) in enumerate(zip(
+            net.layer_labels, strength.T.tolist(), coreness.T.tolist())):
+        lines += [f"  subgraph cluster_{j} {{", f"    label={_dot_quote(layer)};"]
+        for entity, s, c in zip(net.entity_labels, strengths, cores):
+            lines.append(f"    {_dot_quote(_node_id(entity, layer))} "
+                         f"[strength={_fmt(s)}, coreness={int(c)}];")
         lines.append("  }")
-    for src, dst, idx in _kept_edges(net):
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} "
-                     f"[weight={_fmt(net.blocks[idx])}];")
+    for src, dst, w, _ in _kept_edges(net):
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [weight={_fmt(w)}];")
     lines.append("}")
     _write_lines(path, lines)
 

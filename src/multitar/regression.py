@@ -58,9 +58,7 @@ class FitConfig:
         for f in fields(self):  # also the int fields of subclasses
             value = getattr(self, f.name)
             if f.type == "int" or f.type == "int | None" and value is not None:
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ValueError(f"{f.name} must be an integer")
-                object.__setattr__(self, f.name, int(value))  # numpy ints too
+                object.__setattr__(self, f.name, _integer(value, f.name))
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if not 0.0 < self.rel_tol < math.inf:
@@ -136,14 +134,28 @@ def build_lagged_pairs(panel, lag: int):
     return panel[:-lag].copy(), panel[lag:].copy()
 
 
-def resolve_ranks(ranks, dims) -> tuple:
-    """Turn ``"full"`` or an explicit sequence into validated per-mode ranks."""
-    dims = tuple(int(d) for d in dims)
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int`` (numpy ints too); a bool or other type fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
+def check_ranks(ranks):
+    """``"full"``, or the ranks as a tuple of ``int``; fails naming a bad one."""
     if isinstance(ranks, str):
         if ranks != "full":
             raise ValueError(f"unknown rank specification {ranks!r}")
+        return ranks
+    return tuple(_integer(r, f"rank {r!r}") for r in ranks)
+
+
+def resolve_ranks(ranks, dims) -> tuple:
+    """Turn ``"full"`` or an explicit sequence into validated per-mode ranks."""
+    dims = tuple(int(d) for d in dims)
+    ranks = check_ranks(ranks)
+    if ranks == "full":
         return dims
-    ranks = tuple(int(r) for r in ranks)
     if len(ranks) != len(dims):
         raise ValueError(f"need {len(dims)} ranks, got {len(ranks)}")
     for r, d in zip(ranks, dims):

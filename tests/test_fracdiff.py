@@ -6,6 +6,7 @@ per-grid-point ADF sweeps) and frozen here.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -197,6 +198,21 @@ class TestFindMinAlpha:
         panel = np.cumsum(np.random.default_rng(12).standard_normal((400, 3)), axis=0)
         with pytest.raises(ValueError, match="no grid value"):
             find_min_alpha(panel, (0.0, 0.1))
+
+    def test_no_grid_value_names_the_failing_column_and_why(self):
+        # a constant column's ADF regression is degenerate at every order:
+        # "constant series" at 0, a collinear design after differencing
+        noise = np.random.default_rng(13).standard_normal(400)
+        panel = np.column_stack([noise, np.full(400, 2.0)])
+        with pytest.raises(ValueError, match=re.escape(
+                "no grid value achieves panel-wide stationarity; extend the "
+                "grid (at alpha = 0.5, column 1 fails: degenerate regression: "
+                "collinear design matrix)")):
+            find_min_alpha(panel, (0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
+        walks = np.cumsum(np.random.default_rng(12).standard_normal((400, 3)), axis=0)
+        with pytest.raises(ValueError, match=r"\(at alpha = 0\.1, column 0 fails: "
+                           r"ADF statistic -?[\d.]+ keeps the unit root\)$"):
+            find_min_alpha(walks, (0.0, 0.1))
 
     def test_too_short_for_default_lags_fails_before_the_grid(self):
         # T = 10 gives 6 default lags: 8 ADF parameters, 3 observations

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multitar.cli import _load_config, build_parser, main
+from multitar.fracdiff import FracDiffSpec, find_min_alpha, fracdiff_apply
 from multitar.multinet import apply_filter, from_coefficient
 from multitar.netfilter import (
     WeightedDigraph,
@@ -213,6 +214,24 @@ class TestConfig:
         json.dumps(cfg.resolved())
         assert PipelineConfig(adf_lags=None).adf_lags is None
 
+    @pytest.mark.parametrize("ranks, bad", [
+        ((2.5, 2, 3, 2), "2.5"),
+        ((True, 2, 3, 2), "True"),
+        ((2, np.float64(2.0), 3, 2), "2.0"),
+        ("max", "'max'"),
+    ])
+    def test_non_integer_ranks_rejected(self, ranks, bad):
+        # 2.5 and True used to be truncated to 2 and 1, and "max" failed
+        # only when the fit ran
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            PipelineConfig(ranks=ranks)
+
+    def test_numpy_integer_ranks_become_ints(self):
+        cfg = PipelineConfig(ranks=np.array([3, 2, 3, 2]))
+        assert cfg.ranks == (3, 2, 3, 2)
+        assert all(type(r) is int for r in cfg.ranks)
+        assert cfg.resolved()["ranks"] == [3, 2, 3, 2]
+
 
 class TestRunPipeline:
     def test_artifacts_and_manifest(self, small_panel, small_config):
@@ -228,6 +247,30 @@ class TestRunPipeline:
         assert manifest["config"] == small_config.resolved()
         assert manifest["fracdiff"]["alpha"] == 0.3
         assert manifest["fit"]["lambda"] in small_config.lambda_grid
+
+    def test_alpha_search(self, small_panel, small_config):
+        # the default alpha = search picks the smallest grid order that makes
+        # every log series pass the ADF test, and differences at that order
+        panel, _ = small_panel
+        config = dataclasses.replace(small_config, alpha=None)
+        info = run_pipeline(config, panel)["fracdiff"]
+        assert info["alpha_source"] == "search"
+        logs = np.log(panel.values)
+        t_len = logs.shape[0]
+        assert info["alpha"] == find_min_alpha(
+            logs.reshape(t_len, -1), config.alpha_grid,
+            level=config.adf_level, n_lags=info["adf_lags"])
+        differenced = ingest_csv(os.path.join(config.out_dir, "differenced.csv"))
+        np.testing.assert_array_equal(differenced.values, fracdiff_apply(
+            logs, FracDiffSpec(alpha=info["alpha"], n_weights=t_len)))
+
+    def test_readme_library_block_runs(self, tmp_path, monkeypatch):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {})
+        assert os.path.exists(tmp_path / "run" / "manifest.json")
 
     def test_kept_counts_match_retention(self, small_panel, small_config):
         panel, _ = small_panel
@@ -567,8 +610,33 @@ class TestExports:
         assert [(d["d_entity"], d["d_layer"]) for _, d in nodes] == [
             (e, l) for e in entities for l in layers]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entities=st.lists(st.text(_XML_LABEL_CHARS, max_size=6),
+                          min_size=1, max_size=3, unique=True),
+        layers=st.lists(st.text(_XML_LABEL_CHARS, max_size=6),
+                        min_size=1, max_size=3, unique=True),
+        retain=st.sampled_from([None, 0.3]),  # None: every edge kept
+    )
+    @example(entities=["", "a\rb", "c\nd", "e\tf"], layers=["&<>\"'", "|\\"],
+             retain=0.3)
+    def test_graphml_bytes_equal_elementtree(self, entities, layers, retain):
+        n_e, n_l = len(entities), len(layers)
+        rng = np.random.default_rng(n_e * 10 + n_l)
+        net = from_coefficient(rng.standard_normal((n_e, n_l, n_e, n_l)),
+                               entities, layers)
+        if retain is not None:
+            net = apply_filter(net, retain_fraction=retain)
+        strength, coreness = multinet.node_strength(net), multinet.k_coreness(net)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+            pipeline_module._write_graphml(net, got, strength, coreness)
+            _elementtree_graphml(net, want, strength, coreness)
+            with open(got, "rb") as g, open(want, "rb") as w:
+                assert g.read() == w.read()
+
     @pytest.mark.parametrize("label", ["a\x01", "\x0b", "x\x1f", "\ufffe",
-                                       "b\uffff"])
+                                       "b\uffff", "c\ud800"])
     def test_graphml_rejects_label_xml_cannot_carry(self, label, tmp_path):
         net = from_coefficient(np.ones((2, 1, 2, 1)), ["ok", label], ["x"])
         with pytest.raises(ValueError, match=re.escape(repr(label))):
@@ -771,3 +839,80 @@ def test_full_run_does_not_load_scipy_linalg(tmp_path):
             "sys.exit('scipy.linalg' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _elementtree_graphml(net, path, strength, coreness):
+    """The GraphML writer as it was built on ElementTree: the reference for
+    the text writer's bytes."""
+    node_id = pipeline_module._node_id
+    ET.register_namespace("", GRAPHML_NS)
+    root = ET.Element(f"{{{GRAPHML_NS}}}graphml")
+    root.set("{http://www.w3.org/2001/XMLSchema-instance}schemaLocation",
+             f"{GRAPHML_NS} http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd")
+    keys = [
+        ("d_entity", "node", "entity", "string"),
+        ("d_layer", "node", "layer", "string"),
+        ("d_strength", "node", "strength", "double"),
+        ("d_coreness", "node", "coreness", "long"),
+        ("d_weight", "edge", "weight", "double"),
+        ("d_pvalue", "edge", "p_value", "double"),
+    ]
+    for key_id, domain, name, typ in keys:
+        el = ET.SubElement(root, f"{{{GRAPHML_NS}}}key")
+        el.set("id", key_id)
+        el.set("for", domain)
+        el.set("attr.name", name)
+        el.set("attr.type", typ)
+    graph = ET.SubElement(root, f"{{{GRAPHML_NS}}}graph")
+    graph.set("id", "multilayer")
+    graph.set("edgedefault", "directed")
+    for i, entity in enumerate(net.entity_labels):
+        for j, layer in enumerate(net.layer_labels):
+            node = ET.SubElement(graph, f"{{{GRAPHML_NS}}}node")
+            node.set("id", node_id(entity, layer))
+            for key_id, text in (
+                ("d_entity", entity),
+                ("d_layer", layer),
+                ("d_strength", "%.17g" % strength[i, j]),
+                ("d_coreness", str(int(coreness[i, j]))),
+            ):
+                data = ET.SubElement(node, f"{{{GRAPHML_NS}}}data")
+                data.set("key", key_id)
+                data.text = text
+    for j, l, i, k in zip(*np.nonzero(net.kept)):
+        edge = ET.SubElement(graph, f"{{{GRAPHML_NS}}}edge")
+        edge.set("source", node_id(net.entity_labels[i], net.layer_labels[j]))
+        edge.set("target", node_id(net.entity_labels[k], net.layer_labels[l]))
+        for key_id, value in (("d_weight", net.blocks[j, l, i, k]),
+                              ("d_pvalue", net.p_values[j, l, i, k])):
+            data = ET.SubElement(edge, f"{{{GRAPHML_NS}}}data")
+            data.set("key", key_id)
+            data.text = "%.17g" % value
+    ET.indent(root, space="  ")
+    with open(path, "wb") as fh:
+        fh.write(ET.tostring(root, encoding="utf-8", xml_declaration=True)
+                 .replace(b"\r", b"&#13;"))
+
+
+def test_graphml_export_leaves_elementtree_alone(tmp_path):
+    # the ElementTree writer registered the GraphML namespace as the default
+    # for the whole process, which changed how every later caller's
+    # ElementTree wrote that namespace
+    src = os.path.dirname(os.path.dirname(regression.__file__))
+    code = ("import sys\n"
+            "from multitar.pipeline import PipelineConfig, run_pipeline\n"
+            "from multitar.synthetic import generate_tar_panel\n"
+            "panel, _ = generate_tar_panel(n_entities=3, n_layers=2, "
+            "n_steps=200, seed=1)\n"
+            f"run_pipeline(PipelineConfig(alpha=0.3, out_dir={str(tmp_path)!r}), "
+            "panel)\n"
+            "assert 'xml.etree' not in sys.modules, 'xml.etree loaded'\n"
+            "import xml.etree.ElementTree as ET\n"
+            f"el = ET.Element('{{{GRAPHML_NS}}}g')\n"
+            "print(ET.tostring(el).decode())\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "network.graphml").exists()
+    assert run.stdout.startswith("<ns0:g xmlns:ns0="), run.stdout

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,26 @@ class TestAlsFit:
             resolve_ranks([2], (3, 4))
         with pytest.raises(ValueError):
             resolve_ranks("max", (3, 4))
+
+    @pytest.mark.parametrize("ranks, bad", [
+        ((2.9, 2.2, 2.7, 1.9), "2.9"),
+        ((2, True, 3, 2), "True"),
+        ((2, 2, 3, "2"), "'2'"),
+    ])
+    def test_resolve_ranks_rejects_non_integer_ranks(self, ranks, bad):
+        # these used to be truncated, (2.9, 2.2, 2.7, 1.9) to (2, 2, 2, 1)
+        with pytest.raises(ValueError, match=f"^rank {re.escape(bad)} must be "
+                                             "an integer$"):
+            resolve_ranks(ranks, (3, 2, 3, 2))
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            als_fit(rng.standard_normal((40, 3, 2)), rng.standard_normal((40, 3, 2)),
+                    ranks, 1.0)
+
+    def test_resolve_ranks_takes_numpy_integers_as_ints(self):
+        ranks = resolve_ranks(np.array([2, 2, 3, 2]), (3, 2, 3, 2))
+        assert ranks == (2, 2, 3, 2)
+        assert all(type(r) is int for r in ranks)
 
     def test_resolve_ranks_rejects_degenerate_tucker_ranks(self):
         # rank 3 of mode 0 exceeds the other mode's rank 2
