@@ -68,8 +68,27 @@ class PanelSeries:
         return self.values.reshape(self.n_dates, -1)
 
 
+def _csv_rows(path, header):
+    """Yield ``(row_no, fields)`` for each non-blank record of a long CSV
+    whose first record is exactly ``header``.  Rows are numbered from the
+    header as row 1; a blank line is skipped but counted, and a record
+    without one field per header name fails with its row."""
+    n = len(header)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            raise ValueError(f"expected header {','.join(header)!r}, got {first!r}")
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) == n:
+                yield row_no, row
+            elif row:
+                raise ValueError(f"row {row_no}: expected {n} fields, got {len(row)}")
+
+
 def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
-    """Read a long-format panel CSV into a :class:`PanelSeries`.
+    """Read a long-format panel CSV into a :class:`PanelSeries`; the header
+    and row rules are those of :func:`_csv_rows`.
 
     ``on_missing`` selects how incomplete (date, entity, layer) grids are
     handled: ``"reject"`` raises, ``"ffill"`` carries the previous date's
@@ -80,29 +99,15 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
     # per axis: label -> id in order of first appearance; per row: its ids
     dates, entities, layers = seen = ({}, {}, {})
     ids, values, row_nos = [], array("d"), array("q")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"row {row_no}: expected 4 fields, got {len(row)}")
-            date, entity, layer, raw = row
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise ValueError(
-                    f"row {row_no}: non-numeric value {raw!r}"
-                ) from None
-            ids.extend((dates.setdefault(date, len(dates)),
-                        entities.setdefault(entity, len(entities)),
-                        layers.setdefault(layer, len(layers))))
-            row_nos.append(row_no)
+    for row_no, (date, entity, layer, raw) in _csv_rows(path, CSV_HEADER):
+        try:
+            values.append(float(raw))
+        except ValueError:
+            raise ValueError(f"row {row_no}: non-numeric value {raw!r}") from None
+        ids.extend((dates.setdefault(date, len(dates)),
+                    entities.setdefault(entity, len(entities)),
+                    layers.setdefault(layer, len(layers))))
+        row_nos.append(row_no)
     if not values:
         raise ValueError("panel file contains no data rows")
     values = np.frombuffer(values)

@@ -10,7 +10,6 @@ row.  Identical config, panel and seed produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -25,7 +24,7 @@ from . import multinet
 from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
                        find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
-from .panel import PanelSeries, csv_field, export_panel
+from .panel import PanelSeries, _csv_rows, csv_field, export_panel
 from .regression import FitConfig, check_ranks, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -330,7 +329,8 @@ def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
 
 
 def import_network(path) -> MultilayerNetwork:
-    """Rebuild a network from its edge CSV; the grid must hold every edge
+    """Rebuild a network from its edge CSV, whose header and row rules are
+    those of :func:`multitar.panel._csv_rows`; the grid must hold every edge
     exactly once.  Labels keep their order of first appearance in the file.
     A fault in a row (field count, unparsable field) is reported before a
     fault in the grid (a repeated or missing edge)."""
@@ -338,30 +338,21 @@ def import_network(path) -> MultilayerNetwork:
     # per row: its (src layer, dst layer, src entity, dst entity) ids
     ids, row_nos = [], array("q")
     weights, p_values, kept = columns = array("d"), array("d"), array("b")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != NETWORK_HEADER:
-            raise ValueError(f"unexpected network CSV header: {header!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ValueError(f"row {row_no}: expected 7 fields")
-            try:
-                weights.append(float(row[4]))
-                p_values.append(float(row[5]))
-                kept.append(_parse_kept(row[6]))
-            except ValueError as exc:
-                # the fields of this row already appended name the failing one
-                parsed = sum(map(len, columns)) - 3 * len(row_nos)
-                raise ValueError(f"row {row_no}, column "
-                                 f"{NETWORK_HEADER[4 + parsed]}: {exc}") from None
-            ids.extend((layers.setdefault(row[1], len(layers)),
-                        layers.setdefault(row[3], len(layers)),
-                        entities.setdefault(row[0], len(entities)),
-                        entities.setdefault(row[2], len(entities))))
-            row_nos.append(row_no)
+    for row_no, row in _csv_rows(path, NETWORK_HEADER):
+        try:
+            weights.append(float(row[4]))
+            p_values.append(float(row[5]))
+            kept.append(_parse_kept(row[6]))
+        except ValueError as exc:
+            # the fields of this row already appended name the failing one
+            parsed = sum(map(len, columns)) - 3 * len(row_nos)
+            raise ValueError(f"row {row_no}, column "
+                             f"{NETWORK_HEADER[4 + parsed]}: {exc}") from None
+        ids.extend((layers.setdefault(row[1], len(layers)),
+                    layers.setdefault(row[3], len(layers)),
+                    entities.setdefault(row[0], len(entities)),
+                    entities.setdefault(row[2], len(entities))))
+        row_nos.append(row_no)
     if not row_nos:
         raise ValueError("network CSV contains no edges")
     entities, layers = list(entities), list(layers)

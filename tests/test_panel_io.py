@@ -4,6 +4,7 @@ import csv
 import io
 import os
 import random
+import re
 import tempfile
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multitar.panel import CSV_HEADER, PanelSeries, export_panel, ingest_csv
+from multitar.pipeline import NETWORK_HEADER, import_network
 
 # The label alphabet of the network-CSV round trip: any text UTF-8 can
 # encode, without NUL, which the csv reader of Python 3.10 rejects.
@@ -180,6 +182,42 @@ def panels(draw):
 # labels given sorted, as ingestion sorts them
 _AWKWARD = PanelSeries(dates=["", "\n", "a,b"], entities=["lone\rcr", 'q"'],
                        layers=[" ", "y\r\nz"], values=np.full((3, 2, 2), -0.0))
+
+
+# Both long-CSV readers: the reader, its header, one valid data row, and its
+# message for a file that holds no data rows.
+_READERS = {
+    "panel": (ingest_csv, CSV_HEADER, "2020-01-01,AAA,price,1.0",
+              "panel file contains no data rows"),
+    "network": (import_network, NETWORK_HEADER, "A,x,A,x,2.0,0.5,true",
+                "network CSV contains no edges"),
+}
+
+
+@pytest.mark.parametrize("case", ["header", "empty-file", "header-only",
+                                  "field-count", "blank-line"])
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_shared_row_rules(tmp_path, reader, case):
+    read, header, row, no_rows = _READERS[reader]
+    head, k = ",".join(header), len(header)
+    text, message = {
+        "header": (f"{','.join(header[:-1])}\n{row}\n",
+                   f"expected header {head!r}, got {header[:-1]!r}"),
+        "empty-file": ("", f"expected header {head!r}, got None"),
+        "header-only": (f"{head}\n", no_rows),
+        "field-count": (f"{head}\n{row}\n{row.rsplit(',', 1)[0]}\n",
+                        f"row 3: expected {k} fields, got {k - 1}"),
+        # the blank row 2 is skipped, yet the rows after it keep their number
+        "blank-line": (f"{head}\n\n{row},x\n",
+                       f"row 3: expected {k} fields, got {k + 1}"),
+    }[case]
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(path)
+    if case == "blank-line":  # blank lines anywhere after the header read
+        path.write_text(f"{head}\r\n\r\n{row}\r\n\r\n", encoding="utf-8")
+        read(path)
 
 
 class TestExportAnyLabel:
