@@ -29,6 +29,17 @@ def csv_field(label: str) -> str:
     return '"' + label.replace('"', '""') + '"' if quote else label
 
 
+def _check_utf8(*labels) -> None:
+    """Refuse a label that UTF-8 cannot encode (a lone surrogate); a writer
+    checks its labels before it opens its file, so it never leaves one
+    part-written."""
+    for label in labels:
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"UTF-8 cannot encode the label {label!r}") from None
+
+
 @dataclass(frozen=True)
 class PanelSeries:
     """Observation cube with strictly increasing ISO dates and no gaps."""
@@ -145,6 +156,7 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
 def export_panel(panel: PanelSeries, path) -> None:
     """Write the canonical long-format CSV (sorted keys, repr floats, CRLF),
     one date at a time."""
+    _check_utf8(*panel.dates, *panel.entities, *panel.layers)
     cells = [f"{entity},{layer}," for entity, layer in itertools.product(
         map(csv_field, panel.entities), map(csv_field, panel.layers))]
     with open(path, "w", newline="", encoding="utf-8") as fh:

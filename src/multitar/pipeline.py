@@ -24,7 +24,7 @@ from . import multinet
 from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
                        find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
-from .panel import PanelSeries, _csv_rows, csv_field, export_panel
+from .panel import PanelSeries, _check_utf8, _csv_rows, csv_field, export_panel
 from .regression import FitConfig, check_ranks, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -316,6 +316,7 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
+    _check_utf8(*net.entity_labels, *net.layer_labels)
     entities = [csv_field(e) for e in net.entity_labels]
     layers = [csv_field(l) for l in net.layer_labels]
     # the label product runs in the C order of the grid
@@ -435,6 +436,7 @@ def _dot_quote(s: str) -> str:
 
 
 def _write_dot(net: MultilayerNetwork, path: str, strength, coreness) -> None:
+    _check_utf8(*net.entity_labels, *net.layer_labels)
     lines = ["digraph multilayer {"]
     for j, (layer, strengths, cores) in enumerate(zip(
             net.layer_labels, strength.T.tolist(), coreness.T.tolist())):
@@ -452,6 +454,7 @@ def _write_dot(net: MultilayerNetwork, path: str, strength, coreness) -> None:
 def export_matrices(assortativity, overlap, strength, coreness,
                     entity_labels, layer_labels, out_dir) -> dict:
     """Write the two layer matrices and the per-node measure table as CSVs."""
+    _check_utf8(*entity_labels, *layer_labels)
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, OUTPUTS[key])
              for key in ("assortativity", "edge_overlap", "node_measures")}

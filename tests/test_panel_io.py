@@ -270,6 +270,16 @@ class TestExportAnyLabel:
                 assert fh.read() == buf.getvalue().encode("utf-8")
 
 
+def test_export_refuses_label_utf8_cannot_encode(tmp_path):
+    panel = PanelSeries(dates=["d"], entities=["c\ud800"], layers=["x"],
+                        values=np.ones((1, 1, 1)))
+    path = tmp_path / "panel.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            "UTF-8 cannot encode the label 'c\\ud800'")):
+        export_panel(panel, path)
+    assert not path.exists()
+
+
 class TestPanelSeries:
     def test_non_increasing_dates_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

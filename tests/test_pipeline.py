@@ -645,6 +645,19 @@ class TestExports:
         with pytest.raises(ValueError, match="XML 1.0 cannot carry"):
             export_network(layered, tmp_path / "net.graphml", "graphml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "dot", "matrices"])
+    def test_label_utf8_cannot_encode_leaves_no_file(self, fmt, tmp_path):
+        net = from_coefficient(np.ones((2, 1, 2, 1)), ["ok", "c\ud800"], ["x"])
+        with pytest.raises(ValueError, match=re.escape(
+                "UTF-8 cannot encode the label 'c\\ud800'")):
+            if fmt == "matrices":
+                export_matrices(*compute_measures(net, PipelineConfig()),
+                                net.entity_labels, net.layer_labels,
+                                str(tmp_path / "out"))
+            else:
+                export_network(net, tmp_path / "out", fmt)
+        assert not (tmp_path / "out").exists()
+
     def test_dot_has_one_subgraph_per_layer(self, tmp_path):
         net = self._filtered()
         path = tmp_path / "net.dot"
