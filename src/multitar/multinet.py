@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import netfilter
+from .panel import _check_labels
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,7 @@ class MultilayerNetwork:
     def __post_init__(self):
         e = tuple(str(s) for s in self.entity_labels)
         l = tuple(str(s) for s in self.layer_labels)
+        _check_labels(*e, *l)
         blocks = np.asarray(self.blocks, dtype=np.float64)
         kept = np.asarray(self.kept, dtype=bool)
         pv = np.asarray(self.p_values, dtype=np.float64)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -29,15 +30,17 @@ def csv_field(label: str) -> str:
     return '"' + label.replace('"', '""') + '"' if quote else label
 
 
-def _check_utf8(*labels) -> None:
-    """Refuse a label that UTF-8 cannot encode (a lone surrogate); a writer
-    checks its labels before it opens its file, so it never leaves one
-    part-written."""
-    for label in labels:
-        try:
-            label.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"UTF-8 cannot encode the label {label!r}") from None
+# characters XML 1.0 cannot carry, not even as a reference (XML 1.0 section
+# 2.2); lone surrogates are among them, so every legal label encodes as UTF-8
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_labels(*labels, where: str = "") -> None:
+    """Refuse a label XML 1.0 cannot carry; panels and networks check theirs
+    when built, so no writer meets one.  ``where`` prefixes the message."""
+    bad = next(filter(_NOT_XML.search, labels), None)
+    if bad is not None:
+        raise ValueError(f"{where}XML 1.0 cannot carry the label {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,7 @@ class PanelSeries:
         dates = tuple(str(d) for d in self.dates)
         entities = tuple(str(e) for e in self.entities)
         layers = tuple(str(l) for l in self.layers)
+        _check_labels(*dates, *entities, *layers)
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (len(dates), len(entities), len(layers)):
             raise ValueError(
@@ -83,9 +87,10 @@ def _csv_rows(path, header):
     """Yield ``(row_no, fields)`` for each non-blank record of a long CSV
     whose first record is exactly ``header``.  Rows are numbered from the
     header as row 1; a blank line is skipped but counted, and a record
-    without one field per header name fails with its row."""
+    without one field per header name fails with its row.  A byte that is not
+    UTF-8 reads as a lone surrogate, which labels and values refuse."""
     n = len(header)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first != header:
@@ -121,13 +126,20 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
         row_nos.append(row_no)
     if not values:
         raise ValueError("panel file contains no data rows")
+    ids = np.reshape(ids, (-1, 3))
+    # (first row, label) of each refused label; the earliest row is named
+    refused = [(np.argmax(column == i), label) for axis, column in zip(seen, ids.T)
+               for label, i in axis.items() if _NOT_XML.search(label)]
+    if refused:
+        k, label = min(refused, key=lambda r: r[0])
+        _check_labels(label, where=f"row {row_nos[k]}: ")
     values = np.frombuffer(values)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"row {row_nos[bad[0]]}: non-finite value {values[bad[0]]}")
 
     labels, pos = [], []  # per axis: sorted labels, each row's place in them
-    for axis, idx in zip(seen, np.reshape(ids, (-1, 3)).T):
+    for axis, idx in zip(seen, ids.T):
         labels.append(sorted(axis))
         # argsort inverts the map from sorted place to first-appearance id
         pos.append(np.argsort([axis[label] for label in labels[-1]])[idx])
@@ -156,7 +168,6 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
 def export_panel(panel: PanelSeries, path) -> None:
     """Write the canonical long-format CSV (sorted keys, repr floats, CRLF),
     one date at a time."""
-    _check_utf8(*panel.dates, *panel.entities, *panel.layers)
     cells = [f"{entity},{layer}," for entity, layer in itertools.product(
         map(csv_field, panel.entities), map(csv_field, panel.layers))]
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import os
-import re
 from array import array
 from dataclasses import dataclass, fields
 
@@ -24,14 +23,12 @@ from . import multinet
 from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
                        find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
-from .panel import PanelSeries, _check_utf8, _csv_rows, csv_field, export_panel
+from .panel import PanelSeries, _check_labels, _csv_rows, csv_field, export_panel
 from .regression import FitConfig, check_ranks, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 _XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 _GRAPHML_SCHEMA = "http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd"
-# characters XML 1.0 cannot carry, not even as a character reference
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 # ElementTree's escapes; a raw CR would read back as LF, so it is a reference
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
 _XML_ATTR = _XML_TEXT | str.maketrans({'"': "&quot;", "\n": "&#10;", "\t": "&#09;"})
@@ -316,7 +313,6 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _write_network_csv(net: MultilayerNetwork, path: str) -> None:
-    _check_utf8(*net.entity_labels, *net.layer_labels)
     entities = [csv_field(e) for e in net.entity_labels]
     layers = [csv_field(l) for l in net.layer_labels]
     # the label product runs in the C order of the grid
@@ -409,9 +405,6 @@ def _graphml_data(key: str, text: str) -> str:
 
 def _write_graphml(net: MultilayerNetwork, path: str, strength,
                    coreness) -> None:
-    for label in (*net.entity_labels, *net.layer_labels):
-        if _NOT_XML.search(label):
-            raise ValueError(f"XML 1.0 cannot carry the label {label!r}")
     lines = [_GRAPHML_HEAD]
     nodes = itertools.product(net.entity_labels, net.layer_labels)
     for (entity, layer), s, c in zip(nodes, strength.ravel().tolist(),
@@ -436,7 +429,6 @@ def _dot_quote(s: str) -> str:
 
 
 def _write_dot(net: MultilayerNetwork, path: str, strength, coreness) -> None:
-    _check_utf8(*net.entity_labels, *net.layer_labels)
     lines = ["digraph multilayer {"]
     for j, (layer, strengths, cores) in enumerate(zip(
             net.layer_labels, strength.T.tolist(), coreness.T.tolist())):
@@ -454,7 +446,7 @@ def _write_dot(net: MultilayerNetwork, path: str, strength, coreness) -> None:
 def export_matrices(assortativity, overlap, strength, coreness,
                     entity_labels, layer_labels, out_dir) -> dict:
     """Write the two layer matrices and the per-node measure table as CSVs."""
-    _check_utf8(*entity_labels, *layer_labels)
+    _check_labels(*entity_labels, *layer_labels)
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, OUTPUTS[key])
              for key in ("assortativity", "edge_overlap", "node_measures")}

@@ -16,9 +16,12 @@ from hypothesis.extra.numpy import arrays
 from multitar.panel import CSV_HEADER, PanelSeries, export_panel, ingest_csv
 from multitar.pipeline import NETWORK_HEADER, import_network
 
-# The label alphabet of the network-CSV round trip: any text UTF-8 can
-# encode, without NUL, which the csv reader of Python 3.10 rejects.
-_LABEL_CHARS = st.characters(codec="utf-8", exclude_characters="\x00")
+# The label alphabet of the round trips: any text XML 1.0 can carry, so no C0
+# control other than tab, LF and CR, no lone surrogate, no U+FFFE or U+FFFF.
+_LABEL_CHARS = st.characters(
+    codec="utf-8",
+    exclude_characters="".join(chr(c) for c in range(32) if chr(c) not in "\t\n\r")
+    + "\ufffe\uffff")
 
 
 def write_rows(path, rows, header="date,entity,layer,value"):
@@ -271,13 +274,47 @@ class TestExportAnyLabel:
 
 
 def test_export_refuses_label_utf8_cannot_encode(tmp_path):
-    panel = PanelSeries(dates=["d"], entities=["c\ud800"], layers=["x"],
-                        values=np.ones((1, 1, 1)))
-    path = tmp_path / "panel.csv"
+    # the panel refuses the label when it is built, so export_panel cannot
+    # meet it
     with pytest.raises(ValueError, match=re.escape(
-            "UTF-8 cannot encode the label 'c\\ud800'")):
-        export_panel(panel, path)
-    assert not path.exists()
+            "XML 1.0 cannot carry the label 'c\\ud800'")):
+        PanelSeries(dates=["d"], entities=["c\ud800"], layers=["x"],
+                    values=np.ones((1, 1, 1)))
+
+
+_PANEL = b"date,entity,layer,value\n2020-01-01,A,x,1.0\n2020-01-02,A,x,2.0\n"
+_NETWORK = b"src_entity,src_layer,dst_entity,dst_layer,weight,p_value,kept\n"
+# a file holding one byte that is not UTF-8 (0xff), its reader and message
+_NOT_UTF8 = {
+    "panel-header": (ingest_csv, b"date,enti\xffty,layer,value\n",
+                     "expected header 'date,entity,layer,value', got "
+                     "['date', 'enti\\udcffty', 'layer', 'value']"),
+    "panel-date": (ingest_csv, _PANEL + b"2020-01-0\xff3,A,x,3.0\n",
+                   "row 4: XML 1.0 cannot carry the label '2020-01-0\\udcff3'"),
+    "panel-entity": (ingest_csv, _PANEL + b"2020-01-03,A\xff,x,3.0\n",
+                     "row 4: XML 1.0 cannot carry the label 'A\\udcff'"),
+    "panel-value": (ingest_csv, _PANEL + b"2020-01-03,A,x,3\xff.0\n",
+                    "row 4: non-numeric value '3\\udcff.0'"),
+    "network-label": (import_network, _NETWORK + b"A\xff,x,A\xff,x,2.0,0.5,true\n",
+                      "XML 1.0 cannot carry the label 'A\\udcff'"),
+    "network-weight": (import_network, _NETWORK + b"A,x,A,x,2\xff.0,0.5,true\n",
+                       "row 2, column weight: could not convert string to "
+                       "float: '2\\udcff.0'"),
+    "network-kept": (import_network, _NETWORK + b"A,x,A,x,2.0,0.5,tr\xffue\n",
+                     "row 2, column kept: expected true or false, got "
+                     "'tr\\udcffue'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_UTF8))
+def test_byte_not_utf8_refused(tmp_path, case):
+    # the reader decodes such a byte to a lone surrogate, which the header
+    # match, the label rule or a value parser refuses
+    read, data, message = _NOT_UTF8[case]
+    path = tmp_path / "long.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(path)
 
 
 class TestPanelSeries:

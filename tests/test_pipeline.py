@@ -41,12 +41,8 @@ from multitar.pipeline import compute_measures, fit_model
 from multitar.synthetic import generate_tar_panel
 
 
-# Labels are read from and written to UTF-8 files, so a legal label is any
-# text UTF-8 can encode (no lone surrogates); NUL is left out because the
-# csv reader of Python 3.10 rejects it.
-_LABEL_CHARS = st.characters(codec="utf-8", exclude_characters="\x00")
-# XML 1.0 has no way to carry the other C0 controls except tab, LF and CR,
-# nor U+FFFE and U+FFFF
+# A legal label is any text XML 1.0 can carry: no C0 control other than tab,
+# LF and CR, no lone surrogate (so UTF-8 encodes it), no U+FFFE or U+FFFF.
 _XML_LABEL_CHARS = st.characters(
     codec="utf-8",
     exclude_characters="".join(chr(c) for c in range(32) if chr(c) not in "\t\n\r")
@@ -313,15 +309,22 @@ class TestRunPipeline:
                            match=r"\[fracdiff\] T = 200 .* n_lags = 99"):
             run_pipeline(cfg, panel)
 
-    def test_label_xml_cannot_carry_fails_measure_stage(self, small_panel,
-                                                       tmp_path):
-        panel, _ = small_panel
-        panel = dataclasses.replace(panel,
-                                    entities=("a\x01",) + panel.entities[1:])
-        cfg = PipelineConfig(alpha=0.3, lambda_grid=(0.0,),
-                             out_dir=str(tmp_path / "run"))
-        with pytest.raises(PipelineError, match=r"\[measure\].*'a\\x01'"):
-            run_pipeline(cfg, panel)
+    def test_label_xml_cannot_carry_fails_before_any_file(self, small_panel,
+                                                          tmp_path, capsys):
+        # entity 'E01' first appears in row 4 (dates, then entities, then
+        # layers vary slowest to fastest)
+        raw = tmp_path / "raw.csv"
+        export_panel(small_panel[0], raw)
+        raw.write_bytes(raw.read_bytes().replace(b",E01,", b",b\x01,"))
+        for command in ("ingest", "pipeline"):
+            out = tmp_path / command
+            rc = main([command, "--input", str(raw), "--out", str(out),
+                       "--alpha", "0.3", "--lambda", "0"])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: [{command}] row 4: XML 1.0 cannot carry the label "
+                "'b\\x01'\n")
+            assert not out.exists()
 
     def test_log_epsilon_shift_allows_zeros(self, small_panel, tmp_path):
         panel, _ = small_panel
@@ -448,13 +451,14 @@ class TestExports:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        entities=st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6),
+        entities=st.lists(st.text(_XML_LABEL_CHARS, max_size=6),
                           min_size=1, max_size=3, unique=True),
-        layers=st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6),
+        layers=st.lists(st.text(_XML_LABEL_CHARS, max_size=6),
                         min_size=1, max_size=3, unique=True),
     )
     @example(entities=["a,1", "b"], layers=['x"', "y\r\nz"])
     @example(entities=["lone\rcr"], layers=[" ,", "\n"])
+    @example(entities=["", "a|b", "\\", '"'], layers=["|\\", "<&>\t"])
     def test_csv_exports_round_trip_any_label(self, entities, layers):
         rng = np.random.default_rng(len(entities) * 10 + len(layers))
         n_e, n_l = len(entities), len(layers)
@@ -484,6 +488,18 @@ class TestExports:
             assert [r[:2] for r in rows[1:]] == [[e, l] for e in entities
                                                  for l in layers]
             assert all(len(r) == 4 for r in rows)
+
+            # the graph exports give the labels back too: the GraphML through
+            # an XML parser, the DOT node ids unescaped
+            graphml, dot = (os.path.join(tmp, f"network.{ext}")
+                            for ext in ("graphml", "dot"))
+            export_network(net, graphml, "graphml")
+            assert [(d["d_entity"] or "", d["d_layer"] or "")
+                    for _, d in self._graphml_nodes(graphml)] == [
+                (e, l) for e in entities for l in layers]
+            export_network(net, dot, "dot")
+            assert _dot_node_labels(dot) == [(e, l) for l in layers
+                                             for e in entities]
 
     def test_duplicated_edge_row_rejected(self, tmp_path):
         path = tmp_path / "net.csv"
@@ -637,25 +653,44 @@ class TestExports:
 
     @pytest.mark.parametrize("label", ["a\x01", "\x0b", "x\x1f", "\ufffe",
                                        "b\uffff", "c\ud800"])
-    def test_graphml_rejects_label_xml_cannot_carry(self, label, tmp_path):
-        net = from_coefficient(np.ones((2, 1, 2, 1)), ["ok", label], ["x"])
+    def test_graphml_rejects_label_xml_cannot_carry(self, label):
+        # the network refuses the label when it is built, so no GraphML
+        # writer can meet it
         with pytest.raises(ValueError, match=re.escape(repr(label))):
-            export_network(net, tmp_path / "net.graphml", "graphml")
-        layered = from_coefficient(np.ones((1, 2, 1, 2)), ["e"], [label, "y"])
+            from_coefficient(np.ones((2, 1, 2, 1)), ["ok", label], ["x"])
         with pytest.raises(ValueError, match="XML 1.0 cannot carry"):
-            export_network(layered, tmp_path / "net.graphml", "graphml")
+            from_coefficient(np.ones((1, 2, 1, 2)), ["e"], [label, "y"])
 
     @pytest.mark.parametrize("fmt", ["csv", "dot", "matrices"])
     def test_label_utf8_cannot_encode_leaves_no_file(self, fmt, tmp_path):
-        net = from_coefficient(np.ones((2, 1, 2, 1)), ["ok", "c\ud800"], ["x"])
-        with pytest.raises(ValueError, match=re.escape(
-                "UTF-8 cannot encode the label 'c\\ud800'")):
-            if fmt == "matrices":
+        message = re.escape("XML 1.0 cannot carry the label 'c\\ud800'")
+        with pytest.raises(ValueError, match=message):
+            from_coefficient(np.ones((2, 1, 2, 1)), ["ok", "c\ud800"], ["x"])
+        if fmt == "matrices":  # takes raw labels, refused before its mkdir
+            net = from_coefficient(np.ones((2, 1, 2, 1)), ["ok", "c"], ["x"])
+            with pytest.raises(ValueError, match=message):
                 export_matrices(*compute_measures(net, PipelineConfig()),
-                                net.entity_labels, net.layer_labels,
+                                ["ok", "c\ud800"], net.layer_labels,
                                 str(tmp_path / "out"))
-            else:
-                export_network(net, tmp_path / "out", fmt)
+        assert not (tmp_path / "out").exists()
+
+    # one refused character of each kind
+    @pytest.mark.parametrize("char", ["\x01", "\x0b", "\x1f", "\ufffe",
+                                      "\uffff", "\ud800"])
+    def test_label_rule_refuses(self, char, tmp_path):
+        # from_coefficient meets the same characters in
+        # test_graphml_rejects_label_xml_cannot_carry
+        message = f"^XML 1.0 cannot carry the label {re.escape(repr('a' + char))}$"
+        for axis in range(3):
+            labels = [["d"], ["e"], ["l"]]
+            labels[axis] = ["a" + char]
+            with pytest.raises(ValueError, match=message):
+                PanelSeries(*labels, np.ones((1, 1, 1)))
+        net = from_coefficient(np.ones((1, 1, 1, 1)), ["e"], ["x"])
+        for labels in ((["a" + char], ["x"]), (["e"], ["a" + char])):
+            with pytest.raises(ValueError, match=message):
+                export_matrices(*compute_measures(net, PipelineConfig()),
+                                *labels, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
     def test_dot_has_one_subgraph_per_layer(self, tmp_path):
@@ -852,6 +887,20 @@ def test_full_run_does_not_load_scipy_linalg(tmp_path):
             "sys.exit('scipy.linalg' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _dot_node_labels(path):
+    """``(entity, layer)`` of each node of a DOT export: its id with the DOT
+    string escapes undone, split at the first unescaped ``|``, and each half
+    with the node id's escapes undone."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    # a quote inside a label is escaped, so only a node's line starts '    "'
+    ids = re.findall(r'^    "((?:[^"\\]|\\.)*)" \[strength=', text, re.M | re.S)
+    unescape = lambda s: re.sub(r"\\(.)", r"\1", s, flags=re.S)
+    return [tuple(map(unescape, re.fullmatch(r"((?:[^\\|]|\\.)*)\|(.*)",
+                                             unescape(i), re.S).groups()))
+            for i in ids]
 
 
 def _elementtree_graphml(net, path, strength, coreness):
