@@ -141,11 +141,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except pl.PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"error: [{args.command}] {exc}", file=sys.stderr)
+    except Exception as exc:  # a PipelineError names its stage already
+        tag = "" if isinstance(exc, pl.PipelineError) else f"[{args.command}] "
+        print(f"error: {tag}{exc}", file=sys.stderr)
         return 2
     return 0
 

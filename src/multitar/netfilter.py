@@ -16,9 +16,9 @@ Binomial(s, 1/k) tail.
 
 When ``1/a`` is an integer up to ``_MAX_TERMS`` (the default ``a = 1``
 among them) the mixture is a finite sum of Beta-function ratios, exact but
-for rounding; at ``a = 1`` it is B(w, s - w + k) / B(w, s - w + 1).  Other
-``a`` use a 128-node quadrature rule whose absolute error is up to about
-3e-5; ``_survival`` states both errors as measured.
+for rounding; other ``a`` use a 128-node quadrature rule whose absolute error
+is up to about 3e-5.  ``_survival`` states both errors as measured; it is the
+package's one user of scipy (``scipy.special``), imported on its first call.
 
 ``polya_filter`` evaluates the urn on weight shares (each endpoint's weights
 are rescaled so its strength equals its degree), which makes the resulting
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 # Largest integer 1/a that _survival sums in closed form, one term per unit
 _MAX_TERMS = 16
@@ -105,6 +104,7 @@ def _survival(w, s, k, a) -> np.ndarray:
     below 3e-5 (the largest of 6000 random draws was 2.2e-5, at a near 13),
     and p-values below 1e-6 may be off by as much as themselves.
     """
+    from scipy import special  # deferred: only this function needs scipy
     w, s, k = np.broadcast_arrays(
         np.asarray(w, dtype=np.float64),
         np.asarray(s, dtype=np.float64),

@@ -43,6 +43,19 @@ def _check_labels(*labels, where: str = "") -> None:
         raise ValueError(f"{where}XML 1.0 cannot carry the label {bad!r}")
 
 
+def _check_row_labels(axes, ids, row_nos) -> None:
+    """Refuse the earliest label XML 1.0 cannot carry, naming its row: row
+    ``row_nos[r]`` holds the label whose id in ``axes[c]`` is ``ids[r, c]``."""
+    ids = np.reshape(ids, (-1, len(axes)))
+    # (first row, label) of each refused label in each column that holds it
+    refused = [(np.argmax(column == i), label)
+               for axis, column in zip(axes, ids.T) for label, i in axis.items()
+               if _NOT_XML.search(label) and i in column]
+    if refused:
+        k, label = min(refused, key=lambda r: r[0])
+        _check_labels(label, where=f"row {row_nos[k]}: ")
+
+
 @dataclass(frozen=True)
 class PanelSeries:
     """Observation cube with strictly increasing ISO dates and no gaps."""
@@ -115,24 +128,23 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
     # per axis: label -> id in order of first appearance; per row: its ids
     dates, entities, layers = seen = ({}, {}, {})
     ids, values, row_nos = [], array("d"), array("q")
-    for row_no, (date, entity, layer, raw) in _csv_rows(path, CSV_HEADER):
-        try:
-            values.append(float(raw))
-        except ValueError:
-            raise ValueError(f"row {row_no}: non-numeric value {raw!r}") from None
-        ids.extend((dates.setdefault(date, len(dates)),
-                    entities.setdefault(entity, len(entities)),
-                    layers.setdefault(layer, len(layers))))
-        row_nos.append(row_no)
+    try:
+        for row_no, (date, entity, layer, raw) in _csv_rows(path, CSV_HEADER):
+            try:
+                values.append(float(raw))
+            except ValueError:
+                raise ValueError(f"row {row_no}: non-numeric value {raw!r}") from None
+            ids.extend((dates.setdefault(date, len(dates)),
+                        entities.setdefault(entity, len(entities)),
+                        layers.setdefault(layer, len(layers))))
+            row_nos.append(row_no)
+    except ValueError:
+        _check_row_labels(seen, ids, row_nos)  # an earlier row's fault wins
+        raise
     if not values:
         raise ValueError("panel file contains no data rows")
     ids = np.reshape(ids, (-1, 3))
-    # (first row, label) of each refused label; the earliest row is named
-    refused = [(np.argmax(column == i), label) for axis, column in zip(seen, ids.T)
-               for label, i in axis.items() if _NOT_XML.search(label)]
-    if refused:
-        k, label = min(refused, key=lambda r: r[0])
-        _check_labels(label, where=f"row {row_nos[k]}: ")
+    _check_row_labels(seen, ids, row_nos)
     values = np.frombuffer(values)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:

@@ -23,7 +23,8 @@ from . import multinet
 from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
                        find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
-from .panel import PanelSeries, _check_labels, _csv_rows, csv_field, export_panel
+from .panel import (PanelSeries, _check_labels, _check_row_labels, _csv_rows,
+                    csv_field, export_panel)
 from .regression import FitConfig, check_ranks, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -329,32 +330,38 @@ def import_network(path) -> MultilayerNetwork:
     """Rebuild a network from its edge CSV, whose header and row rules are
     those of :func:`multitar.panel._csv_rows`; the grid must hold every edge
     exactly once.  Labels keep their order of first appearance in the file.
-    A fault in a row (field count, unparsable field) is reported before a
-    fault in the grid (a repeated or missing edge)."""
+    The earliest row fault (field count, refused label, unparsable field)
+    is reported before a grid fault (a repeated or missing edge)."""
     entities, layers = {}, {}  # label -> id in order of first appearance
     # per row: its (src layer, dst layer, src entity, dst entity) ids
-    ids, row_nos = [], array("q")
+    axes, ids, row_nos = (layers, layers, entities, entities), [], array("q")
     weights, p_values, kept = columns = array("d"), array("d"), array("b")
-    for row_no, row in _csv_rows(path, NETWORK_HEADER):
-        try:
-            weights.append(float(row[4]))
-            p_values.append(float(row[5]))
-            kept.append(_parse_kept(row[6]))
-        except ValueError as exc:
-            # the fields of this row already appended name the failing one
-            parsed = sum(map(len, columns)) - 3 * len(row_nos)
-            raise ValueError(f"row {row_no}, column "
-                             f"{NETWORK_HEADER[4 + parsed]}: {exc}") from None
-        ids.extend((layers.setdefault(row[1], len(layers)),
-                    layers.setdefault(row[3], len(layers)),
-                    entities.setdefault(row[0], len(entities)),
-                    entities.setdefault(row[2], len(entities))))
-        row_nos.append(row_no)
+    try:
+        for row_no, row in _csv_rows(path, NETWORK_HEADER):
+            try:
+                weights.append(float(row[4]))
+                p_values.append(float(row[5]))
+                kept.append(_parse_kept(row[6]))
+            except ValueError as exc:
+                # the fields of this row already appended name the failing one
+                parsed = sum(map(len, columns)) - 3 * len(row_nos)
+                raise ValueError(f"row {row_no}, column "
+                                 f"{NETWORK_HEADER[4 + parsed]}: {exc}") from None
+            ids.extend((layers.setdefault(row[1], len(layers)),
+                        layers.setdefault(row[3], len(layers)),
+                        entities.setdefault(row[0], len(entities)),
+                        entities.setdefault(row[2], len(entities))))
+            row_nos.append(row_no)
+    except ValueError:
+        _check_row_labels(axes, ids, row_nos)  # an earlier row's fault wins
+        raise
     if not row_nos:
         raise ValueError("network CSV contains no edges")
+    ids = np.reshape(ids, (-1, 4))
+    _check_row_labels(axes, ids, row_nos)
     entities, layers = list(entities), list(layers)
     shape = (len(layers), len(layers), len(entities), len(entities))
-    cells = np.ravel_multi_index(np.reshape(ids, (-1, 4)).T, shape)
+    cells = np.ravel_multi_index(ids.T, shape)
     counts = np.bincount(cells, minlength=math.prod(shape))
     if counts.max() > 1:
         dup = int(np.setdiff1d(np.arange(cells.size),

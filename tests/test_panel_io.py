@@ -296,7 +296,7 @@ _NOT_UTF8 = {
     "panel-value": (ingest_csv, _PANEL + b"2020-01-03,A,x,3\xff.0\n",
                     "row 4: non-numeric value '3\\udcff.0'"),
     "network-label": (import_network, _NETWORK + b"A\xff,x,A\xff,x,2.0,0.5,true\n",
-                      "XML 1.0 cannot carry the label 'A\\udcff'"),
+                      "row 2: XML 1.0 cannot carry the label 'A\\udcff'"),
     "network-weight": (import_network, _NETWORK + b"A,x,A,x,2\xff.0,0.5,true\n",
                        "row 2, column weight: could not convert string to "
                        "float: '2\\udcff.0'"),
@@ -311,6 +311,37 @@ def test_byte_not_utf8_refused(tmp_path, case):
     # the reader decodes such a byte to a lone surrogate, which the header
     # match, the label rule or a value parser refuses
     read, data, message = _NOT_UTF8[case]
+    path = tmp_path / "long.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(path)
+
+
+# the four rows of a complete 2 x 1 network, with B\xff for B in row 4
+_NETWORK_2X1 = _NETWORK + b"".join(
+    b"%s,x,%s,x,1.0,0.5,true\n" % pair
+    for pair in ((b"A", b"A"), (b"A", b"B"), (b"B\xff", b"A"), (b"B", b"B")))
+# a refused label in an earlier row is named before a fault in a later row or
+# in the grid: the reader, its file and its message
+_EARLIER_LABEL = {
+    "panel-value": (ingest_csv, _PANEL + b"2020-01-01,b\x01,x,1.0\n"
+                    b"2020-01-02,b\x01,x,zz\n",
+                    "row 4: XML 1.0 cannot carry the label 'b\\x01'"),
+    "panel-field-count": (ingest_csv, _PANEL + b"2020-01-01,b\x01,x,1.0\n"
+                          b"2020-01-02,b\x01,x,1,0\n",
+                          "row 4: XML 1.0 cannot carry the label 'b\\x01'"),
+    "network-grid": (import_network, _NETWORK_2X1,
+                     "row 4: XML 1.0 cannot carry the label 'B\\udcff'"),
+    "network-weight": (import_network, _NETWORK_2X1 + b"A,x,A,x,abc,0.5,true\n",
+                       "row 4: XML 1.0 cannot carry the label 'B\\udcff'"),
+    "network-field-count": (import_network, _NETWORK_2X1 + b"A,x\n",
+                            "row 4: XML 1.0 cannot carry the label 'B\\udcff'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EARLIER_LABEL))
+def test_earliest_faulty_row_is_named(tmp_path, case):
+    read, data, message = _EARLIER_LABEL[case]
     path = tmp_path / "long.csv"
     path.write_bytes(data)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -889,6 +889,40 @@ def test_full_run_does_not_load_scipy_linalg(tmp_path):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _scipy_modules_after(code):
+    """Names of the scipy modules a fresh interpreter has loaded after it
+    ran ``code``, read from the last line it prints."""
+    src = os.path.dirname(os.path.dirname(regression.__file__))
+    code += ("\nimport json, sys\n"
+             "print(json.dumps([m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy']))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_only_the_polya_filter_loads_scipy(tmp_path, small_panel):
+    # every stage but the Polya filter runs on numpy alone, so a staged
+    # command's process does not pay for importing scipy
+    panel, _ = small_panel
+    export_panel(panel, tmp_path / "panel.csv")
+    fit = ("from multitar.cli import main\n"
+           f"assert main(['fit', '--panel', {str(tmp_path / 'panel.csv')!r}, "
+           f"'--out', {str(tmp_path / 'fit')!r}, '--lambda', '5']) == 0")
+    assert _scipy_modules_after(fit) == []
+    run = lambda method: (
+        "from multitar.panel import ingest_csv\n"
+        "from multitar.pipeline import PipelineConfig, run_pipeline\n"
+        f"panel = ingest_csv({str(tmp_path / 'panel.csv')!r})\n"
+        f"run_pipeline(PipelineConfig(alpha=0.3, filter_method={method!r}, "
+        f"out_dir={str(tmp_path / method)!r}), panel)")
+    assert _scipy_modules_after(run("hard")) == []
+    assert "scipy.special" in _scipy_modules_after(run("polya"))
+    for out in ("fit/model", "hard/manifest.json", "polya/manifest.json"):
+        assert (tmp_path / out).exists()
+
+
 def _dot_node_labels(path):
     """``(entity, layer)`` of each node of a DOT export: its id with the DOT
     string escapes undone, split at the first unescaped ``|``, and each half
