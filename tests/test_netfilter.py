@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
+from multitar import netfilter
 from multitar.netfilter import (
     WeightedDigraph,
     _MAX_TERMS,
+    _QUAD_NODES,
+    _QUAD_WEIGHTS,
+    _lgamma,
+    _survival,
     hard_threshold_filter,
     polya_filter,
     polya_pvalue,
@@ -84,11 +89,11 @@ class TestPolyaPvalue:
 
     def test_large_integer_inverse_a_takes_the_rule(self, monkeypatch):
         # 1/a = 1e8 is an integer, but far too many terms to sum; the closed
-        # form is the only path that calls betaln
+        # form is the only path that calls _lgamma
         def refuse(*args):
             raise AssertionError("closed form taken")
 
-        monkeypatch.setattr(special, "betaln", refuse)
+        monkeypatch.setattr(netfilter, "_lgamma", refuse)
         assert 0.0 < polya_pvalue(10.0, 20.0, 4, 1e-8) < 1.0
         assert 0.0 < polya_pvalue(10.0, 20.0, 4, 1.0 / (_MAX_TERMS + 1)) < 1.0
         with pytest.raises(AssertionError, match="closed form"):
@@ -126,6 +131,20 @@ class TestPolyaPvalue:
             want = urn_sum(w, s, k, m)
             assert abs(got - want) <= 1e-11 * want, (w, s, k, got, want)
 
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    def test_closed_form_at_equal_strength_and_degree(self, m):
+        # polya_filter scores at s = k = n; the docstring bounds the relative
+        # error by 1e-15 * log Gamma(s + 1 + b), b = (n - 1) m
+        rng = np.random.default_rng(50 + m)
+        for n in (20, 160, 640):
+            w = np.minimum(rng.exponential(n / (40.0 * m), 12), n)
+            got = _survival(w, float(n), float(n), 1.0 / m)
+            bound = 1e-15 * math.lgamma(n + 1.0 + (n - 1.0) * m)
+            for wi, p in zip(w, got):
+                want = urn_sum(wi, n, n, m)
+                assert want > 1e-300
+                assert abs(p - want) <= bound * want, (wi, n, p, want)
+
     def test_deep_tail_matches_the_mixture_integral(self):
         # the mixture over the urn share X ~ Beta(1, k - 1), integrated
         # adaptively; the old 128-node rule gave 1.1e-16 here
@@ -154,6 +173,16 @@ class TestPolyaPvalue:
                       - beta_binomial_tail(w, s, k, a))
                   for w, s, k, a in cases]
         assert max(errors) < 3e-5
+
+    def test_lgamma_within_its_stated_bound(self):
+        # the Stirling series from 13 up, math.lgamma below
+        x = np.concatenate([np.geomspace(1.0, 1e7, 1500),
+                            np.linspace(11.0, 15.0, 401),
+                            [np.nextafter(13.0, 0.0), 13.0]])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.loggamma(v)) for v in x])
+        err = np.abs(_lgamma(x) - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() < 2e-15
 
     def test_monotone_in_weight(self):
         for a in (0.1, 1.0, 10.0):
@@ -286,6 +315,28 @@ class TestPolyaFilter:
             assert np.unique(res.p_values).size == 1
             assert kept_pairs(res) == [divmod(e, n) for e in
                                        range(math.ceil(0.5 * n * n))]
+
+    def test_rule_equals_the_per_edge_form(self):
+        # the rule's share quantiles depend on a and n alone and are found
+        # once per call; this oracle finds them again for every edge
+        a = 0.3
+        absw = np.abs(np.random.default_rng(40).standard_normal((2, 2, 5, 5)))
+        n = 5.0
+        m, b = 1.0 / a, (n - 1.0) / a
+        strengths = [np.broadcast_to(strength, absw.shape) for strength in
+                     (np.cumsum(absw, axis=-1)[..., -1:],
+                      absw.sum(axis=-2, keepdims=True))]
+        want = np.ones(absw.shape)
+        for idx in np.ndindex(absw.shape):
+            for strength in strengths:
+                w = min(absw[idx] / strength[idx], 1.0) * n
+                total = 0.0
+                for node, weight in zip(_QUAD_NODES, _QUAD_WEIGHTS):
+                    share = special.betaincinv(m, b, node)
+                    total += weight * special.betainc(w, n - w + 1.0, share)
+                want[idx] = min(want[idx], min(max(total, 0.0), 1.0))
+        got = polya_filter(WeightedDigraph(absw), a, 0.3).p_values
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0])
     def test_subnormal_share_gives_finite_pvalues(self, a):

@@ -902,25 +902,28 @@ def _scipy_modules_after(code):
     return json.loads(out.splitlines()[-1])
 
 
-def test_only_the_polya_filter_loads_scipy(tmp_path, small_panel):
-    # every stage but the Polya filter runs on numpy alone, so a staged
-    # command's process does not pay for importing scipy
+def test_only_incomplete_beta_filters_load_scipy(tmp_path, small_panel):
+    # every stage runs on numpy alone but a Polya filter at a = 0 or at a
+    # non-integer 1/a, so a default run's processes do not import scipy
     panel, _ = small_panel
     export_panel(panel, tmp_path / "panel.csv")
     fit = ("from multitar.cli import main\n"
            f"assert main(['fit', '--panel', {str(tmp_path / 'panel.csv')!r}, "
            f"'--out', {str(tmp_path / 'fit')!r}, '--lambda', '5']) == 0")
     assert _scipy_modules_after(fit) == []
-    run = lambda method: (
+    run = lambda name, **filter_args: (
         "from multitar.panel import ingest_csv\n"
         "from multitar.pipeline import PipelineConfig, run_pipeline\n"
         f"panel = ingest_csv({str(tmp_path / 'panel.csv')!r})\n"
-        f"run_pipeline(PipelineConfig(alpha=0.3, filter_method={method!r}, "
-        f"out_dir={str(tmp_path / method)!r}), panel)")
-    assert _scipy_modules_after(run("hard")) == []
-    assert "scipy.special" in _scipy_modules_after(run("polya"))
-    for out in ("fit/model", "hard/manifest.json", "polya/manifest.json"):
-        assert (tmp_path / out).exists()
+        f"run_pipeline(PipelineConfig(alpha=0.3, out_dir={str(tmp_path / name)!r}, "
+        f"**{filter_args!r}), panel)")
+    assert _scipy_modules_after(run("hard", filter_method="hard")) == []
+    assert _scipy_modules_after(run("polya")) == []
+    for a in (0.3, 0.0):
+        assert "scipy.special" in _scipy_modules_after(run(f"a{a}", filter_a=a))
+    assert (tmp_path / "fit" / "model").exists()
+    for name in ("hard", "polya", "a0.3", "a0.0"):
+        assert (tmp_path / name / "manifest.json").exists()
 
 
 def _dot_node_labels(path):
