@@ -8,6 +8,7 @@ lexicographically so identical data always yields an identical cube.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 import re
@@ -19,6 +20,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ["date", "entity", "layer", "value"]
+_BLOCK = 8192  # characters a CSV reader takes at a time, then to a line end
 
 
 def csv_field(label: str) -> str:
@@ -41,19 +43,6 @@ def _check_labels(*labels, where: str = "") -> None:
     bad = next(filter(_NOT_XML.search, labels), None)
     if bad is not None:
         raise ValueError(f"{where}XML 1.0 cannot carry the label {bad!r}")
-
-
-def _check_row_labels(axes, ids, row_nos) -> None:
-    """Refuse the earliest label XML 1.0 cannot carry, naming its row: row
-    ``row_nos[r]`` holds the label whose id in ``axes[c]`` is ``ids[r, c]``."""
-    ids = np.reshape(ids, (-1, len(axes)))
-    # (first row, label) of each refused label in each column that holds it
-    refused = [(np.argmax(column == i), label)
-               for axis, column in zip(axes, ids.T) for label, i in axis.items()
-               if _NOT_XML.search(label) and i in column]
-    if refused:
-        k, label = min(refused, key=lambda r: r[0])
-        _check_labels(label, where=f"row {row_nos[k]}: ")
 
 
 @dataclass(frozen=True)
@@ -96,28 +85,101 @@ class PanelSeries:
         return self.values.reshape(self.n_dates, -1)
 
 
-def _csv_rows(path, header):
-    """Yield ``(row_no, fields)`` for each non-blank record of a long CSV
-    whose first record is exactly ``header``.  Rows are numbered from the
-    header as row 1; a blank line is skipped but counted, and a record
-    without one field per header name fails with its row.  A byte that is not
-    UTF-8 reads as a lone surrogate, which labels and values refuse."""
+def _csv_blocks(path, header):
+    """Yield ``(row_nos, columns)`` a block at a time for the non-blank
+    records of a long CSV whose first record is exactly ``header``, numbered
+    from the header as row 1.  A blank line is skipped but counted; a record
+    without one field per header name fails with its row, after the rows
+    before it.  A block of lines with no quote, CRLF or LF throughout, and
+    one comma fewer than ``header`` has names on every line is split on
+    commas; from any other block on, ``csv.reader`` reads the file, as a
+    quoted field may span lines.  A byte-order mark before the header is
+    dropped; a byte that is not UTF-8 reads as a lone surrogate, which labels
+    and values refuse."""
     n = len(header)
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
+        first = next(csv.reader(fh), None)
         if first != header:
             raise ValueError(f"expected header {','.join(header)!r}, got {first!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) == n:
-                yield row_no, row
-            elif row:
-                raise ValueError(f"row {row_no}: expected {n} fields, got {len(row)}")
+        row_no = 2
+        while text := fh.read(_BLOCK) + fh.readline():
+            eol = "\r\n" if "\r" in text else "\n"
+            lines = text.removesuffix(eol).split(eol)
+            joined = ",".join(lines)
+            if (not any(c in joined for c in '"\r\n')
+                    and set(map(str.count, lines, itertools.repeat(","))) == {n - 1}):
+                fields = joined.split(",")
+                yield (np.arange(row_no, row_no + len(lines)),
+                       [fields[c::n] for c in range(n)])
+                row_no += len(lines)
+                continue
+            records = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+            rows = ((no, *row) for no, row in enumerate(records, row_no) if row)
+            while block := list(itertools.islice(rows, _BLOCK // 32)):
+                k = next((k for k, row in enumerate(block) if len(row) != n + 1),
+                         len(block))
+                if k:
+                    nos, *columns = zip(*block[:k])
+                    yield np.array(nos), columns
+                if k < len(block):
+                    raise ValueError(f"row {block[k][0]}: expected {n} fields, "
+                                     f"got {len(block[k]) - 1}")
+
+
+class _Ids(dict):
+    """label -> id, a new label taking the next id; a label XML 1.0 cannot
+    carry is refused."""
+
+    def __missing__(self, label):
+        _check_labels(label)
+        self[label] = n = len(self)
+        return n
+
+
+def _read_long_csv(path, header, label_fields, parsers, fault):
+    """Read a long CSV: axis ``a`` maps the labels of the fields
+    ``label_fields[a]`` to ids in order of first appearance, row by row, and
+    ``parsers`` parse the fields after them into doubles.  Return the axes,
+    each field's ids or values, and the row numbers.  The earliest faulty row
+    is named: a field its parser refuses, with the message ``fault``, or else
+    a refused label."""
+    axes = [_Ids() for _ in label_fields]
+    m, n = len(header) - len(parsers), len(parsers)
+    # two buffers grow, not one per column, so the heap fragments less:
+    # each row's label ids and row number, and each row's parsed fields
+    ints, floats = array("q"), array("d")
+    for nos, columns in _csv_blocks(path, header):
+        rows = np.empty((len(nos), m + 1), np.int64)
+        try:
+            parsed = [array("d", map(*pc)) for pc in zip(parsers, columns[m:])]
+            for axis, fields in zip(axes, label_fields):
+                # the axis's labels row by row, so new ones take ids in order
+                cols = [columns[c] for c in fields]
+                labels = cols[0] if len(cols) == 1 else itertools.chain(*zip(*cols))
+                rows[:, fields] = np.fromiter(map(axis.__getitem__, labels),
+                                              np.int64).reshape(-1, len(fields))
+        except ValueError:  # the block holds a fault: name its earliest row
+            for no, row in zip(nos, zip(*columns)):
+                for c, (parse, field) in enumerate(zip(parsers, row[m:])):
+                    try:
+                        parse(field)
+                    except ValueError as error:
+                        raise ValueError(fault.format(
+                            row=no, column=header[m + c], field=field,
+                            error=error)) from None
+                _check_labels(*row[:m], where=f"row {no}: ")
+            raise
+        rows[:, m] = nos
+        ints.frombytes(rows.tobytes())
+        floats.frombytes(np.column_stack(parsed).tobytes())
+    *ids, row_nos = np.frombuffer(ints, np.int64).reshape(-1, m + 1).T
+    return axes, ids, np.frombuffer(floats).reshape(-1, n).T, row_nos
 
 
 def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
     """Read a long-format panel CSV into a :class:`PanelSeries`; the header
-    and row rules are those of :func:`_csv_rows`.
+    and row rules are those of :func:`_csv_blocks`.
 
     ``on_missing`` selects how incomplete (date, entity, layer) grids are
     handled: ``"reject"`` raises, ``"ffill"`` carries the previous date's
@@ -126,32 +188,17 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
     if on_missing not in ("reject", "ffill"):
         raise ValueError("on_missing must be 'reject' or 'ffill'")
     # per axis: label -> id in order of first appearance; per row: its ids
-    dates, entities, layers = seen = ({}, {}, {})
-    ids, values, row_nos = [], array("d"), array("q")
-    try:
-        for row_no, (date, entity, layer, raw) in _csv_rows(path, CSV_HEADER):
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise ValueError(f"row {row_no}: non-numeric value {raw!r}") from None
-            ids.extend((dates.setdefault(date, len(dates)),
-                        entities.setdefault(entity, len(entities)),
-                        layers.setdefault(layer, len(layers))))
-            row_nos.append(row_no)
-    except ValueError:
-        _check_row_labels(seen, ids, row_nos)  # an earlier row's fault wins
-        raise
-    if not values:
+    seen, ids, (values,), row_nos = _read_long_csv(
+        path, CSV_HEADER, ((0,), (1,), (2,)), (float,),
+        "row {row}: non-numeric value {field!r}")
+    if not values.size:
         raise ValueError("panel file contains no data rows")
-    ids = np.reshape(ids, (-1, 3))
-    _check_row_labels(seen, ids, row_nos)
-    values = np.frombuffer(values)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"row {row_nos[bad[0]]}: non-finite value {values[bad[0]]}")
 
     labels, pos = [], []  # per axis: sorted labels, each row's place in them
-    for axis, idx in zip(seen, ids.T):
+    for axis, idx in zip(seen, ids):
         labels.append(sorted(axis))
         # argsort inverts the map from sorted place to first-appearance id
         pos.append(np.argsort([axis[label] for label in labels[-1]])[idx])
