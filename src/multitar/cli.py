@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Stages can be run end to end (``pipeline``) or one at a time.  Each staged
-command after ``ingest`` runs one row of the pipeline's stage table
+command runs one row of the pipeline's stage table
 (:data:`multitar.pipeline.STAGES`) on the artifact the previous command
 wrote, so a run can be resumed from any intermediate output.  Failures exit
 nonzero with a stage-tagged message.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from . import pipeline as pl
@@ -69,22 +68,11 @@ def _read_input(flag: str, path: str, config: pl.PipelineConfig):
 
 def _cmd_stage(args) -> None:
     """Read the input named by the command's flag and run the command's row
-    of the stage table (``ingest`` has none), plus ``<command>.json`` and the
-    hand-off files that only the next staged command reads."""
+    of the stage table, which writes its files under ``out_dir``."""
     config = _load_config(args)
-    data = _read_input(args.flag, args.source, config)
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    if args.command == "ingest":
-        output, info = data, None
-        export_panel(data, os.path.join(out_dir, "panel.csv"))
-    else:
-        output, info = pl.run_stage(args.command, data, config)
-    if info is not None:
-        pl._write_json(info, os.path.join(out_dir, f"{args.command}.json"))
-    if args.command == "build-network":
-        pl.export_network(output, os.path.join(out_dir, "network_full.csv"), "csv")
-    print(f"{args.command} -> {out_dir}")
+    pl.run_stage(args.command, _read_input(args.flag, args.source, config),
+                 config, staged=True)
+    print(f"{args.command} -> {config.out_dir}")
 
 
 def _cmd_pipeline(args) -> None:
@@ -94,7 +82,7 @@ def _cmd_pipeline(args) -> None:
     print(f"alpha={manifest['fracdiff']['alpha']} "
           f"lambda={manifest['fit']['lambda']} "
           f"kept={manifest['filter']['total_kept']}/"
-          f"{manifest['filter']['total_edges']} -> {config.out_dir}/manifest.json")
+          f"{manifest['filter']['total_edges']} -> {config.out_dir}")
 
 
 def _cmd_synth(args) -> None:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +52,9 @@ OUTPUTS = {"differenced_panel": "differenced.csv", "model": "model",
            "network_csv": "network.csv", "network_graphml": "network.graphml",
            "network_dot": "network.dot", "assortativity": "assortativity.csv",
            "edge_overlap": "edge_overlap.csv", "node_measures": "node_measures.csv"}
+_MATRICES = ("assortativity", "edge_overlap", "node_measures")  # by export_matrices
+# Files that only the next staged command reads; run_pipeline writes none.
+HANDOFFS = {"panel": "panel.csv", "network_full": "network_full.csv"}
 
 
 class PipelineError(RuntimeError):
@@ -431,9 +435,7 @@ def export_matrices(assortativity, overlap, strength, coreness,
                     entity_labels, layer_labels, out_dir) -> dict:
     """Write the two layer matrices and the per-node measure table as CSVs."""
     _check_labels(*entity_labels, *layer_labels)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {key: os.path.join(out_dir, OUTPUTS[key])
-             for key in ("assortativity", "edge_overlap", "node_measures")}
+    paths = {key: os.path.join(out_dir, OUTPUTS[key]) for key in _MATRICES}
     layer_labels = [csv_field(l) for l in layer_labels]
     for key, matrix in (("assortativity", assortativity), ("edge_overlap", overlap)):
         _write_lines(paths[key], ["layer," + ",".join(layer_labels)] + [
@@ -477,48 +479,48 @@ def _write_json(obj, path) -> None:
 # the stage table
 
 
-def _out(config: PipelineConfig, key: str) -> str:
-    return os.path.join(config.out_dir, OUTPUTS[key])
+def _ingest_row(panel, config):
+    return panel, None, {"panel": partial(export_panel, panel)}
 
 
 def _fracdiff_row(panel, config):
     differenced, info = prepare_panel(panel, config)
-    export_panel(differenced, _out(config, "differenced_panel"))
-    return differenced, info
+    return differenced, info, {"differenced_panel": partial(export_panel, differenced)}
 
 
 def _fit_row(panel, config):
     model, info = fit_model(panel, config)
-    save_model(model, panel, info, _out(config, "model"))
-    return (model.coefficient_tensor(), (panel.entities, panel.layers)), info
+    return ((model.coefficient_tensor(), (panel.entities, panel.layers)), info,
+            {"model": partial(save_model, model, panel, info)})
 
 
 def _build_network_row(fitted, config):
     coefficient, (entities, layers) = fitted
-    return multinet.from_coefficient(coefficient, entities, layers), None
+    net = multinet.from_coefficient(coefficient, entities, layers)
+    return net, None, {"network_full": partial(export_network, net, fmt="csv")}
 
 
 def _filter_row(net, config):
     filtered, info = filter_network(net, config)
-    export_network(filtered, _out(config, "network_csv"), "csv")
-    return filtered, info
+    return filtered, info, {"network_csv": partial(export_network, filtered, fmt="csv")}
 
 
 def _measure_row(net, config):
     assort, overlap, strength, coreness = compute_measures(net, config)
-    _write_graphml(net, _out(config, "network_graphml"), strength, coreness)
-    _write_dot(net, _out(config, "network_dot"), strength, coreness)
-    export_matrices(assort, overlap, strength, coreness,
-                    net.entity_labels, net.layer_labels, config.out_dir)
-    return net, None
+    return net, None, {
+        "network_graphml": lambda path: _write_graphml(net, path, strength, coreness),
+        "network_dot": lambda path: _write_dot(net, path, strength, coreness),
+        _MATRICES: partial(export_matrices, assort, overlap, strength, coreness,
+                           net.entity_labels, net.layer_labels)}
 
 
 # The stage sequence in run order.  A row takes the previous stage's output
-# and the config, writes the stage's artifacts to out_dir and returns
-# ``(output, info)``, info None if the stage records nothing.  Rows look the
-# stage functions up as module globals when they run, so a patch applies to
-# run_pipeline and the CLI alike.
+# and the config, only computes, and returns ``(output, info, files)``, info
+# None if the stage records nothing; files maps the key in OUTPUTS or HANDOFFS
+# of each file the stage writes to its writer.  Rows look the stage functions
+# up as module globals when they run, so a patch applies to both drivers.
 STAGES = {
+    "ingest": _ingest_row,
     "fracdiff": _fracdiff_row,
     "fit": _fit_row,
     "build-network": _build_network_row,
@@ -527,14 +529,24 @@ STAGES = {
 }
 
 
-def run_stage(name: str, data, config: PipelineConfig):
-    """Run row ``name`` of :data:`STAGES` on ``data``; returns its
-    ``(output, info)`` and re-raises any failure as a ``name``-tagged
-    :class:`PipelineError`."""
+def run_stage(name: str, data, config: PipelineConfig, staged: bool = False):
+    """Run row ``name`` of :data:`STAGES` on ``data``; only then create
+    ``config.out_dir`` and write there the row's files and, for a ``staged``
+    command, the :data:`HANDOFFS` and ``<name>.json``.  Returns ``(output,
+    info)``; any failure is re-raised as a ``name``-tagged :class:`PipelineError`."""
     try:
-        return STAGES[name](data, config)
+        output, info, files = STAGES[name](data, config)
+        for key, write in files.items():
+            if staged or key not in HANDOFFS:
+                os.makedirs(config.out_dir, exist_ok=True)
+                # a writer gets its file's path; one of a tuple of files, out_dir
+                write(config.out_dir if isinstance(key, tuple)
+                      else os.path.join(config.out_dir, (OUTPUTS | HANDOFFS)[key]))
+        if staged and info is not None:
+            _write_json(info, os.path.join(config.out_dir, f"{name}.json"))
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
+    return output, info
 
 
 def run_pipeline(config: PipelineConfig, panel: PanelSeries) -> dict:
@@ -542,7 +554,6 @@ def run_pipeline(config: PipelineConfig, panel: PanelSeries) -> dict:
     ``config.out_dir``; returns the manifest (also ``manifest.json``).
     Any stage failure is re-raised as a stage-tagged :class:`PipelineError`.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
     data, info = panel, {}
     for name in STAGES:
         data, info[name] = run_stage(name, data, config)
