@@ -89,17 +89,21 @@ def _csv_blocks(path, header):
     """Yield ``(row_nos, columns)`` a block at a time for the non-blank
     records of a long CSV whose first record is exactly ``header``, numbered
     from the header as row 1.  A blank line is skipped but counted; a record
-    without one field per header name fails with its row, after the rows
-    before it.  A block of lines with no quote, CRLF or LF throughout, and
-    one comma fewer than ``header`` has names on every line is split on
-    commas; from any other block on, ``csv.reader`` reads the file, as a
-    quoted field may span lines.  A byte-order mark before the header is
-    dropped; a byte that is not UTF-8 reads as a lone surrogate, which labels
-    and values refuse."""
-    n = len(header)
+    without one field per header name, or one ``csv.reader`` refuses (such as
+    a field longer than ``csv.field_size_limit()``), fails with its row,
+    after the rows before it.  A block of lines no longer than that limit,
+    with no quote, CRLF or LF throughout, and one comma fewer than ``header``
+    has names on every line is split on commas; from any other block on,
+    ``csv.reader`` reads the file, as a quoted field may span lines.  A
+    byte-order mark before the header is dropped; a byte that is not UTF-8
+    reads as a lone surrogate, which labels and values refuse."""
+    n, limit = len(header), csv.field_size_limit()
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
-        first = next(csv.reader(fh), None)
+        try:
+            first = next(csv.reader(fh), None)
+        except csv.Error as error:
+            raise ValueError(f"row 1: {error}") from None
         if first != header:
             raise ValueError(f"expected header {','.join(header)!r}, got {first!r}")
         row_no = 2
@@ -107,14 +111,14 @@ def _csv_blocks(path, header):
             eol = "\r\n" if "\r" in text else "\n"
             lines = text.removesuffix(eol).split(eol)
             joined = ",".join(lines)
-            if (not any(c in joined for c in '"\r\n')
+            if (len(text) <= limit and not any(c in joined for c in '"\r\n')
                     and set(map(str.count, lines, itertools.repeat(","))) == {n - 1}):
                 fields = joined.split(",")
                 yield (np.arange(row_no, row_no + len(lines)),
                        [fields[c::n] for c in range(n)])
                 row_no += len(lines)
                 continue
-            records = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+            records = _reader(itertools.chain(io.StringIO(text, newline=""), fh))
             rows = ((no, *row) for no, row in enumerate(records, row_no) if row)
             while block := list(itertools.islice(rows, _BLOCK // 32)):
                 k = next((k for k, row in enumerate(block) if len(row) != n + 1),
@@ -123,8 +127,19 @@ def _csv_blocks(path, header):
                     nos, *columns = zip(*block[:k])
                     yield np.array(nos), columns
                 if k < len(block):
-                    raise ValueError(f"row {block[k][0]}: expected {n} fields, "
-                                     f"got {len(block[k]) - 1}")
+                    no, *fields = block[k]
+                    raise ValueError(f"row {no}: " + (
+                        str(fields[0]) if isinstance(fields[0], csv.Error)
+                        else f"expected {n} fields, got {len(fields)}"))
+
+
+def _reader(lines):
+    """``csv.reader``'s records of ``lines``; one it refuses ends them as
+    ``[csv.Error]``."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as error:
+        yield [error]
 
 
 class _Ids(dict):

@@ -592,6 +592,49 @@ def test_first_quoted_label_after_first_block(tmp_path, label, eol):
         assert got.tobytes() == grid.tobytes()
 
 
+@pytest.mark.parametrize("quote", ["", '"'])  # split on commas, or csv.reader
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_field_over_limit_names_its_row(tmp_path, reader, quote):
+    read, header, row, _ = _READERS[reader]
+    limit = csv.field_size_limit()
+    long_row = quote + "x" * (limit + 1) + quote + row[row.index(","):]
+    write_rows(tmp_path / "long.csv", [row, long_row], ",".join(header))
+    with pytest.raises(ValueError, match=re.escape(
+            f"row 3: field larger than field limit ({limit})") + "$"):
+        read(tmp_path / "long.csv")
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_field_at_limit_reads_on_both_paths(tmp_path, quote):
+    label = "x" * csv.field_size_limit()
+    write_rows(tmp_path / "panel.csv", [f"2020-01-01,{quote}{label}{quote},a,1.0"])
+    assert ingest_csv(tmp_path / "panel.csv").entities == (label,)
+
+
+# Faults on the csv.reader path, each named with its row: the rows after the
+# header, and the start of the message.  Python 3.10's csv.reader refuses a
+# NUL; later versions read it and the label rule refuses it.
+_READER_FAULTS = {
+    "earlier-value": (["2020-01-01,a,x,zz", '2020-01-02,"{long}",x,1.0'],
+                      "row 2: non-numeric value 'zz'"),
+    "nul": (["2020-01-01,a,x,1.0", '2020-01-02,"b\x00",x,1.0'], "row 3: "),
+    "header": (None, "row 1: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("case", list(_READER_FAULTS))
+def test_csv_reader_fault_names_its_row(tmp_path, case):
+    rows, message = _READER_FAULTS[case]
+    long = "x" * (csv.field_size_limit() + 1)
+    path = tmp_path / "panel.csv"
+    if rows is None:
+        write_rows(path, [], f'date,entity,layer,"{long}"')
+    else:
+        write_rows(path, [r.format(long=long) for r in rows])
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ingest_csv(path)
+
+
 class TestPanelSeries:
     def test_non_increasing_dates_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
