@@ -462,11 +462,31 @@ def save_model(model, panel: PanelSeries, info: dict, model_dir) -> None:
 
 
 def load_model_coefficient(model_dir):
-    """``(coefficient, (entities, layers))`` as saved by :func:`save_model`."""
-    coefficient = np.load(os.path.join(model_dir, "coefficient.npy"))
-    with open(os.path.join(model_dir, "meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """``(coefficient, (entities, layers))`` as saved by :func:`save_model`.
+    A file that is missing or unreadable, a label list that is missing, or
+    a coefficient that is not a float array fails with the file's path."""
+    path = os.path.join(model_dir, "coefficient.npy")
+    coefficient = _read(path, partial(np.lib.format.read_array, allow_pickle=False))
+    if coefficient.dtype.kind != "f":
+        raise ValueError(f"{path}: expected a float array, got {coefficient.dtype}")
+    path = os.path.join(model_dir, "meta.json")
+    meta = _read(path, lambda fh: json.loads(fh.read().decode("utf-8")))
+    for key in ("entities", "layers"):
+        labels = meta.get(key) if isinstance(meta, dict) else None
+        if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
+            raise ValueError(f"{path}: expected a list of labels under {key!r}")
     return coefficient, (meta["entities"], meta["layers"])
+
+
+def _read(path, read):
+    """``read`` applied to the binary file ``path``; a fault names the path."""
+    try:
+        with open(path, "rb") as fh:
+            return read(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # not a .npy array, not UTF-8 or not JSON
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_json(obj, path) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -872,6 +873,57 @@ class TestCli:
         rc = main(["pipeline", "--input", "x.csv", "--retain", "2.0",
                    "--out", str(tmp_path)])
         assert rc != 0
+
+
+def _save_npy(array, **kwargs):
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+# Faults of a model directory: the file spoiled, its new bytes (None deletes
+# it), and the message after the file's path.
+_MODEL_FAULTS = {
+    "no-coefficient": ("coefficient.npy", None, "No such file or directory"),
+    "two-byte-coefficient": ("coefficient.npy", b"ab",
+                             "EOF: reading magic string, expected 8 bytes got 2"),
+    "integer-coefficient": ("coefficient.npy",
+                            _save_npy(np.ones((2, 1, 2, 1), np.int64)),
+                            "expected a float array, got int64"),
+    "object-coefficient": ("coefficient.npy",
+                           _save_npy(np.ones(2, object), allow_pickle=True),
+                           "Object arrays cannot be loaded when allow_pickle=False"),
+    "no-meta": ("meta.json", None, "No such file or directory"),
+    "no-entities": ("meta.json", b'{"layers": ["x"]}',
+                    "expected a list of labels under 'entities'"),
+    "label-not-text": ("meta.json", b'{"entities": ["a", 1], "layers": ["x"]}',
+                       "expected a list of labels under 'entities'"),
+    "meta-not-object": ("meta.json", b"[]",
+                        "expected a list of labels under 'entities'"),
+    "meta-not-json": ("meta.json", b"{", "Expecting property name enclosed"),
+    "meta-not-utf8": ("meta.json", b'{"\xff": 1}',
+                      "'utf-8' codec can't decode byte 0xff in position 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MODEL_FAULTS))
+def test_model_fault_names_file_and_fault(tmp_path, capsys, case):
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "coefficient.npy").write_bytes(_save_npy(np.ones((2, 1, 2, 1))))
+    (model / "meta.json").write_text('{"entities": ["a", "b"], "layers": ["x"]}',
+                                     encoding="utf-8")
+    name, data, fault = _MODEL_FAULTS[case]
+    if data is None:
+        (model / name).unlink()
+    else:
+        (model / name).write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["build-network", "--model", str(model), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [build-network] {model / name}: {fault}")
+    assert err.count("\n") == 1 and "pickled" not in err
+    assert not out.exists()
 
 
 def test_full_run_does_not_load_scipy_linalg(tmp_path):
