@@ -112,21 +112,31 @@ class PipelineConfig(FitConfig):
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Parse the flat ``key = value`` config format with typed validation."""
+        """Parse the flat ``key = value`` config format with typed validation;
+        a fault on a line, a byte that is not UTF-8 too, names the line."""
         values = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, raw in enumerate(fh, start=1):
+                where = f"{path}:{line_no}: "
+                # surrogateescape reads a byte that is not UTF-8 as U+DC80-DCFF
+                bad = next((c for c in raw if "\udc80" <= c <= "\udcff"), None)
+                if bad is not None:
+                    raise ValueError(
+                        f"{where}byte {ord(bad) - 0xdc00:#04x} is not UTF-8")
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+                    raise ValueError(f"{where}expected 'key = value'")
                 key, _, val = (s.strip() for s in line.partition("="))
                 if key not in _DEFAULTS:
-                    raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+                    raise ValueError(f"{where}unknown key {key!r}")
                 if key in values:
-                    raise ValueError(f"{path}:{line_no}: duplicate key {key!r}")
-                values[key] = _parse_config_value(key, val)
+                    raise ValueError(f"{where}duplicate key {key!r}")
+                try:
+                    values[key] = _parse_config_value(key, val)
+                except ValueError as exc:
+                    raise ValueError(f"{where}{exc}") from None
         return cls(**values)
 
     def resolved(self) -> dict:

@@ -109,6 +109,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="bad value for 'seed'"):
             PipelineConfig.from_file(f)
 
+    @pytest.mark.parametrize("data,fault", [
+        (b"alpha = 0.3\nretain_fraction = abc\n", "bad value for 'retain_fraction'"),
+        (b"alpha = 0.3\nseed = 1\xff\n", "byte 0xff is not UTF-8"),
+        (b"alpha = 0.3\n# \xc3\n", "byte 0xc3 is not UTF-8"),
+    ])
+    def test_value_and_byte_faults_name_their_line(self, tmp_path, data, fault):
+        f = tmp_path / "bad.conf"
+        f.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}:2: {fault}')}"):
+            PipelineConfig.from_file(f)
+
     def test_component_invariants_delegated(self):
         with pytest.raises(ValueError):
             PipelineConfig(retain_fraction=0.0)
