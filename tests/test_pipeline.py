@@ -1,10 +1,12 @@
 """Configuration, staged pipeline runs, exports, and the CLI surface."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -825,6 +827,74 @@ class TestStageTable:
         assert len(calls) == 1
         _run_staged(raw, tmp_path / "staged", conf)
         assert len(calls) == 2
+
+
+def _tree(root):
+    """The bytes of every file under ``root``, keyed by its relative path."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in pathlib.Path(root).rglob("*") if path.is_file()}
+
+
+class TestStageDriver:
+    # the files only the staged commands write
+    STAGED_ONLY = {"panel.csv", "network_full.csv", "fracdiff.json", "fit.json",
+                   "filter.json"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           shape=st.sampled_from([(3, 2), (2, 3), (4, 1)]),
+           alpha=st.sampled_from([None, 0.3]),
+           method_a=st.sampled_from([("polya", 1.0), ("polya", 0.3),
+                                     ("polya", 0.0), ("hard", 1.0)]),
+           ranks=st.sampled_from(["full", (2, 1, 2, 1)]),
+           lag=st.sampled_from([1, 2]), drop_burn_in=st.booleans(),
+           overlap_normalized=st.booleans())
+    def test_staged_chain_matches_run_pipeline(self, seed, shape, alpha, method_a,
+                                               ranks, lag, drop_burn_in,
+                                               overlap_normalized):
+        panel, _ = generate_tar_panel(n_entities=shape[0], n_layers=shape[1],
+                                      n_steps=120, seed=seed)
+        # one ADF lag, so that the search finds its order on 120 dates
+        cfg = PipelineConfig(
+            alpha=alpha, alpha_grid=(0.0, 0.4, 1.0), adf_lags=1, ranks=ranks,
+            lag=lag, filter_method=method_a[0], filter_a=method_a[1],
+            retain_fraction=0.2, lambda_grid=(1.0, 5.0), seed=seed,
+            drop_burn_in=drop_burn_in, overlap_normalized=overlap_normalized)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            raw, conf = tmp / "raw.csv", tmp / "run.conf"
+            export_panel(panel, raw)
+            conf.write_text("".join(
+                f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                for key, v in cfg.resolved().items() if key != "out_dir"),
+                encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                _run_staged(raw, tmp / "staged", conf)
+            manifest = run_pipeline(dataclasses.replace(cfg, out_dir=str(tmp / "full")),
+                                    panel)
+            staged, full = _tree(tmp / "staged"), _tree(tmp / "full")
+        assert set(staged) == set(full) - {"manifest.json"} | self.STAGED_ONLY
+        for name in set(full) & set(staged):
+            assert staged[name] == full[name], name
+        for stage in ("fracdiff", "fit", "filter"):
+            assert json.loads(staged[f"{stage}.json"]) == manifest[stage]
+
+    def test_failed_build_network_makes_no_out_dir(self, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        np.save(model / "coefficient.npy", np.ones((2, 1, 2)))
+        (model / "meta.json").write_text('{"entities": ["a", "b"], "layers": ["x"]}',
+                                         encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["build-network", "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: [build-network] ")
+        assert not out.exists()
+
+    def test_failed_run_pipeline_makes_no_out_dir(self, small_panel, tmp_path):
+        cfg = PipelineConfig(adf_lags=299, out_dir=str(tmp_path / "out"))
+        with pytest.raises(PipelineError, match=r"^\[fracdiff\] "):
+            run_pipeline(cfg, small_panel[0])
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
