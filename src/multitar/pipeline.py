@@ -2,10 +2,12 @@
 
 The stages (log-transform and fractional differencing, ridge selection and
 ALS fit, network blocks, per-block filtering, layer measures) are written
-once, as the rows of :data:`STAGES`.  :func:`run_pipeline` chains them in
-memory and writes a manifest recording every resolved parameter, so the run
-can be reproduced from the manifest alone; each staged CLI command runs one
-row.  Identical config, panel and seed produce byte-identical artifacts.
+once, as the rows of :data:`STAGES`; :func:`run_stage` runs a row, then
+writes its files.  :func:`run_pipeline` chains the rows in memory and writes
+a manifest recording every resolved parameter, so the run can be reproduced
+from the manifest alone; each staged CLI command runs one row.  Identical
+config, panel and seed produce byte-identical artifacts at a fixed BLAS
+library and thread count; the fit's bytes depend on the thread count.
 """
 
 from __future__ import annotations
