@@ -571,7 +571,7 @@ def run_stage(name: str, data, config: PipelineConfig, staged: bool = False):
         for key, write in files.items():
             if staged or key not in HANDOFFS:
                 os.makedirs(config.out_dir, exist_ok=True)
-                # a writer gets its file's path; one of a tuple of files, out_dir
+                # a tuple of keys is the files of one writer, which takes out_dir
                 write(config.out_dir if isinstance(key, tuple)
                       else os.path.join(config.out_dir, (OUTPUTS | HANDOFFS)[key]))
         if staged and info is not None:
