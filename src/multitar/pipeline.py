@@ -137,6 +137,7 @@ class PipelineConfig(FitConfig):
                     raise ValueError(f"{where}duplicate key {key!r}")
                 try:
                     values[key] = _parse_config_value(key, val)
+                    cls(**{key: values[key]})  # the value's own range check
                 except ValueError as exc:
                     raise ValueError(f"{where}{exc}") from None
         return cls(**values)
@@ -476,17 +477,22 @@ def save_model(model, panel: PanelSeries, info: dict, model_dir) -> None:
 def load_model_coefficient(model_dir):
     """``(coefficient, (entities, layers))`` as saved by :func:`save_model`.
     A file that is missing or unreadable, a label list that is missing, or
-    a coefficient that is not a float array fails with the file's path."""
-    path = os.path.join(model_dir, "coefficient.npy")
-    coefficient = _read(path, partial(np.lib.format.read_array, allow_pickle=False))
+    a coefficient that is not a float array of shape ``(I, J, I, J)`` for the
+    I entities and J layers of the labels fails with the file's path."""
+    npy = os.path.join(model_dir, "coefficient.npy")
+    coefficient = _read(npy, partial(np.lib.format.read_array, allow_pickle=False))
     if coefficient.dtype.kind != "f":
-        raise ValueError(f"{path}: expected a float array, got {coefficient.dtype}")
+        raise ValueError(f"{npy}: expected a float array, got {coefficient.dtype}")
     path = os.path.join(model_dir, "meta.json")
     meta = _read(path, lambda fh: json.loads(fh.read().decode("utf-8")))
     for key in ("entities", "layers"):
         labels = meta.get(key) if isinstance(meta, dict) else None
         if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
             raise ValueError(f"{path}: expected a list of labels under {key!r}")
+    shape = 2 * (len(meta["entities"]), len(meta["layers"]))
+    if coefficient.shape != shape:
+        raise ValueError(f"{npy}: expected shape (I, J, I, J) = {shape} for the "
+                         f"labels in meta.json, got {coefficient.shape}")
     return coefficient, (meta["entities"], meta["layers"])
 
 

@@ -22,7 +22,11 @@ leading singular vectors of its unfolding, and each ALS sweep then updates the
 core and every factor in mode order.  Each update is a few matrix products on
 the Kronecker form, with the factor being updated set to an identity, and is
 the exact minimizer of the penalized objective in that block with the others
-held fixed, so the objective trace is non-increasing.
+held fixed, so the objective trace is non-increasing.  The grid runs one ALS
+for all of its weights: the core, the factors and every update carry a
+leading axis, one slice per weight, and a weight leaves the sweeps when it
+converges.  Each product is formed per slice as for one fit, so a grid fit
+equals the standalone :func:`als_fit` bit for bit.
 """
 
 from __future__ import annotations
@@ -99,6 +103,7 @@ class TarModel:
     ridge: float
     x_mean: np.ndarray
     y_mean: np.ndarray
+    b: np.ndarray | None = None  # the fit's B; reconstructed once when None
 
     def __post_init__(self):
         if not 0.0 <= self.ridge < math.inf:
@@ -112,11 +117,15 @@ class TarModel:
             )
         if self.intercept.shape != (1,) + self.y_mean.shape:
             raise ValueError("intercept must have shape (1, *response_dims)")
+        if self.b is None:
+            object.__setattr__(self, "b", _partial(self.coefficient.core,
+                                                   self.coefficient.factors, nx))
+        self.b.flags.writeable = False
 
     def coefficient_tensor(self) -> np.ndarray:
-        """``B = W_x G W_y'``, the tensor the fit's objective and intercept use."""
-        return _partial(self.coefficient.core, self.coefficient.factors,
-                        self.x_mean.ndim)
+        """``B = W_x G W_y'``, the tensor the fit's objective and intercept use
+        (read-only: it is the model's own)."""
+        return self.b
 
 
 def build_lagged_pairs(panel, lag: int):
@@ -213,24 +222,30 @@ def _solve_spd(a, rhs, context, ridge):
     ``ridge``, so the minimum-norm solution also needs the smallest below
     ``ridge / 2``: a ridge solve on badly scaled data stays a Cholesky solve.
     ``trace(a) * trace(a^-1)`` bounds the spread from above; it costs the
-    inverse of the Cholesky factor, which then gives the solution.
+    inverse of the Cholesky factor, which then gives the solution.  ``a`` may
+    be a stack of systems, with ``rhs`` and ``ridge`` stacked alike; a matrix
+    whose bound trips is then solved on its own, and so is every matrix when
+    numpy's stacked Cholesky fails on one, as it does not say which.
     """
-    singular = (f"singular normal equations in {context} with lambda = 0; "
-                "raise lambda to regularize")
     try:
         inv = np.linalg.inv(np.linalg.cholesky(a))  # a = l l', inv = l^-1
-    except np.linalg.LinAlgError:
-        if ridge > 0.0:
-            return np.linalg.lstsq(a, rhs, rcond=1e-13)[0]
-        raise SingularSystemError(singular) from None
-    if np.trace(a) * np.sum(inv * inv) > 1e13:
-        eig = np.linalg.eigvalsh(a)
-        if eig[0] <= 1e-13 * eig[-1]:
+    except np.linalg.LinAlgError:  # a matrix is not positive definite
+        inv = np.full_like(a, np.nan)
+    out = inv.swapaxes(-1, -2) @ (inv @ rhs)
+    spread = np.trace(a, axis1=-2, axis2=-1) * np.sum(inv * inv, axis=(-2, -1))
+    if a.ndim > 2:
+        for i in np.flatnonzero(~(spread <= 1e13)):
+            out[i] = _solve_spd(a[i], rhs[i], context, ridge[i])
+    elif not spread <= 1e13:
+        failed = np.isnan(spread)  # the Cholesky failed
+        eig = None if failed else np.linalg.eigvalsh(a)
+        if failed or eig[0] <= 1e-13 * eig[-1]:
             if ridge == 0.0:
-                raise SingularSystemError(singular)
-            if eig[0] < 0.5 * ridge:
+                raise SingularSystemError(f"singular normal equations in {context} "
+                                          "with lambda = 0; raise lambda to regularize")
+            if failed or eig[0] < 0.5 * ridge:
                 return np.linalg.lstsq(a, rhs, rcond=1e-13)[0]
-    return inv.T @ (inv @ rhs)
+    return out
 
 
 def closed_form_fit(x, y, ridge: float) -> np.ndarray:
@@ -251,60 +266,78 @@ def closed_form_fit(x, y, ridge: float) -> np.ndarray:
     return _solve_spd(gram, xc.T @ (yu - yu.mean(axis=0)), "closed_form_fit", ridge)
 
 
+def _kron(a, b):
+    """``np.kron`` of the last two axes, over any leading (stack) axes."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (k.shape[-4] * k.shape[-3], -1))
+
+
 def _partial(core, factors, n_reg, skip=-1):
     """The partial ``P = W_x G W_y'`` with factor ``skip`` an identity, folded
     to a tensor: ``B = P x_skip U_skip``, and ``P = B`` when none is skipped."""
-    mats = [np.eye(u.shape[1]) if k == skip else u for k, u in enumerate(factors)]
-    w_x = functools.reduce(np.kron, mats[:n_reg])
-    w_y = functools.reduce(np.kron, mats[n_reg:])
-    g = core.reshape(w_x.shape[1], w_y.shape[1])
-    return (w_x @ g @ w_y.T).reshape([m.shape[0] for m in mats])
+    mats = [np.eye(u.shape[-1]) if k == skip else u for k, u in enumerate(factors)]
+    w_x = functools.reduce(_kron, mats[:n_reg])
+    w_y = functools.reduce(_kron, mats[n_reg:])
+    lead = core.shape[:core.ndim - len(factors)]
+    g = core.reshape(lead + (w_x.shape[-1], w_y.shape[-1]))
+    shape = lead + tuple(u.shape[-2] for u in mats)
+    return (w_x @ g @ w_y.swapaxes(-1, -2)).reshape(shape)
 
 
 def _update_core(xc, yc, core_shape, factors, n_reg, ridge):
     n = xc.shape[0]
-    w_x = functools.reduce(np.kron, factors[:n_reg])
-    w_y = functools.reduce(np.kron, factors[n_reg:])
+    w_x = functools.reduce(_kron, factors[:n_reg])
+    w_y = functools.reduce(_kron, factors[n_reg:])
     z = xc.reshape(n, -1) @ w_x
-    lhs = z.T @ z + ridge * (w_x.T @ w_x)
-    gu = _solve_spd(lhs, z.T @ (yc.reshape(n, -1) @ w_y), "core update", ridge)
-    gu = _solve_spd(w_y.T @ w_y, gu.T, "core update", ridge).T
-    return gu.reshape(core_shape)
+    zt = z.swapaxes(-1, -2)
+    lhs = zt @ z + np.asarray(ridge)[..., None, None] * (w_x.swapaxes(-1, -2) @ w_x)
+    gu = _solve_spd(lhs, zt @ (yc.reshape(n, -1) @ w_y), "core update", ridge)
+    gu = _solve_spd(w_y.swapaxes(-1, -2) @ w_y, gu.swapaxes(-1, -2), "core update",
+                    ridge)
+    return gu.swapaxes(-1, -2).reshape(gu.shape[:-2] + tuple(core_shape))
 
 
 def _mode_gram(xc, k):
-    """``x'x`` over the rows for ``x = xc`` with regressor mode ``k`` first."""
+    """``x'x`` over the rows for ``x = xc`` with regressor mode ``k`` first,
+    as a matrix with rows ``(i, i')`` and columns ``(o, o')`` over the others."""
     x = np.moveaxis(xc, k + 1, 1).reshape(xc.shape[0], xc.shape[k + 1], -1)
-    return np.tensordot(x, x, axes=(0, 0))
+    xtx = np.tensordot(x, x, axes=(0, 0)).transpose(0, 2, 1, 3)
+    return xtx.reshape(x.shape[1] ** 2, -1)
 
 
 def _update_regressor_factor(xc, yc, core, factors, k, ridge, xtx=None):
     n = xc.shape[0]
-    i_d, r_d = factors[k].shape
+    lead, (i_d, r_d) = factors[k].shape[:-2], factors[k].shape[-2:]
     # B = P x_k U_k for the partial P, so with o over the other regressor modes
-    # the prediction is yhat[t, j] = sum x[t, i, o] U_k[i, a] p[a, o, j]
+    # the prediction is yhat[t, j] = sum x[t, i, o] U_k[i, a] p[(a, o), j]
     x = np.moveaxis(xc, k + 1, 1).reshape(n, i_d, -1)
-    part = unfold(_partial(core, factors, xc.ndim - 1, k), k)
-    p = part.reshape(r_d, x.shape[2], -1)
+    o = x.shape[2]
+    part = unfold(_partial(core, factors, xc.ndim - 1, k), k, len(lead))
+    p = part.reshape(lead + (r_d * o, -1))
     xtx = _mode_gram(xc, k) if xtx is None else xtx
-    ptp = np.tensordot(p, p, axes=(2, 2))
-    dtd = np.tensordot(xtx, ptp, axes=((1, 3), (1, 3))).transpose(0, 2, 1, 3)
-    dtd = dtd.reshape(i_d * r_d, -1) + ridge * np.kron(np.eye(i_d), part @ part.T)
-    yp = np.tensordot(yc.reshape(n, -1), p, axes=(1, 2))
-    rhs = np.tensordot(x, yp, axes=((0, 2), (0, 2))).reshape(-1)
+    ptp = (p @ p.swapaxes(-1, -2)).reshape(lead + (r_d, o, r_d, o))
+    ptp = np.moveaxis(ptp, (-3, -1), (-4, -3)).reshape(lead + (o * o, r_d * r_d))
+    dtd = (xtx @ ptp).reshape(lead + (i_d, i_d, r_d, r_d)).swapaxes(-3, -2)
+    penalty = _kron(np.eye(i_d), part @ part.swapaxes(-1, -2))
+    dtd = dtd.reshape(penalty.shape) + np.asarray(ridge)[..., None, None] * penalty
+    yp = (yc.reshape(n, -1) @ p.swapaxes(-1, -2)).reshape(lead + (n, r_d, o))
+    yp = yp.swapaxes(-1, -2).reshape(lead + (n * o, r_d))
+    rhs = (x.transpose(1, 0, 2).reshape(i_d, -1) @ yp).reshape(lead + (-1, 1))
     sol = _solve_spd(dtd, rhs, f"factor {k} update", ridge)
-    return sol.reshape(i_d, r_d)
+    return sol.reshape(lead + (i_d, r_d))
 
 
 def _update_response_factor(xc, yc, core, factors, d, ridge):
-    n, n_reg = xc.shape[0], xc.ndim - 1
+    n, n_reg, nl = xc.shape[0], xc.ndim - 1, core.ndim - len(factors)
     part = _partial(core, factors, n_reg, d)
     # yhat = H x_d U_d for H = R_x . P, so the response unfolding is U_d H_(d)
-    h = xc.reshape(n, -1) @ part.reshape(xc[0].size, -1)
-    h = unfold(h.reshape((n,) + part.shape[n_reg:]), d - n_reg + 1)
-    lhs = h @ h.T + ridge * (unfold(part, d) @ unfold(part, d).T)
+    h = xc.reshape(n, -1) @ part.reshape(part.shape[:nl] + (xc[0].size, -1))
+    h = unfold(h.reshape(part.shape[:nl] + (n,) + part.shape[nl + n_reg:]),
+                d - n_reg + 1, nl)
+    lhs = h @ h.swapaxes(-1, -2) + np.asarray(ridge)[..., None, None] * (
+        unfold(part, d, nl) @ unfold(part, d, nl).swapaxes(-1, -2))
     rhs = h @ unfold(yc, d - n_reg + 1).T
-    return _solve_spd(lhs, rhs, f"factor {d} update", ridge).T.copy()
+    return _solve_spd(lhs, rhs, f"factor {d} update", ridge).swapaxes(-1, -2).copy()
 
 
 def _init_factors(b_full, dims, ranks, seed):
@@ -320,80 +353,104 @@ def _init_factors(b_full, dims, ranks, seed):
 
 
 def _objective(r_x, r_y, b, ridge):
-    resid = r_y - r_x @ b.reshape(r_x.shape[1], -1)
-    return float(np.sum(resid * resid)) + ridge * float(np.sum(b * b))
+    """The penalized objective of each coefficient in the stack ``b``."""
+    b = b.reshape(-1, r_x.shape[1], r_y.shape[1])
+    resid = r_y - r_x @ b
+    return np.sum(resid * resid, axis=(1, 2)) + ridge * np.sum(b * b, axis=(1, 2))
+
+
+def _model(split, ridge, core, b, factors, trace, converged):
+    intercept = split.y_mean[None] - np.tensordot(split.x_mean[None], b,
+                                                  axes=split.x_mean.ndim)
+    return (TarModel(intercept, TuckerFactors(core, tuple(factors)), float(ridge),
+                     split.x_mean, split.y_mean, b),
+            FitReport(tuple(trace), converged, len(trace)))
 
 
 def _als_sweeps(split, ranks, factors, ridge, config):
-    """ALS from ``factors`` (updated in place); ``(core, B, trace, converged)``."""
+    """ALS for every weight in ``ridge`` at once, slice i of the stacked
+    ``factors`` for ``ridge[i]``: each sweep updates the core, then every
+    factor in mode order, of the fits still running.  A fit stops when it
+    converges or reaches ``max_sweeps``; ``(TarModel, FitReport)`` per weight."""
     r_x, r_y, n_reg = split.r_x, split.r_y, split.x_mean.ndim
     xc = r_x.reshape((-1,) + split.x_mean.shape)
     yc = r_y.reshape((-1,) + split.y_mean.shape)
     floor = 1e-12 * (float(np.sum(r_y * r_y)) + 1e-300)
-    trace = []
-    for sweep in range(config.max_sweeps):
-        core = _update_core(xc, yc, ranks, factors, n_reg, ridge)
+    out, traces, run = [None] * len(ridge), [[] for _ in ridge], list(range(len(ridge)))
+    while run:
+        lam = ridge[run]
+        core = _update_core(xc, yc, ranks, factors, n_reg, lam)
         for d in range(n_reg):
-            factors[d] = _update_regressor_factor(xc, yc, core, factors, d, ridge,
+            factors[d] = _update_regressor_factor(xc, yc, core, factors, d, lam,
                                                   split.mode_grams[d])
         for d in range(n_reg, len(ranks)):
-            factors[d] = _update_response_factor(xc, yc, core, factors, d, ridge)
+            factors[d] = _update_response_factor(xc, yc, core, factors, d, lam)
         b = _partial(core, factors, n_reg)
-        obj = _objective(r_x, r_y, b, ridge)
-        if not math.isfinite(obj):
+        obj = _objective(r_x, r_y, b, lam)
+        if not np.all(np.isfinite(obj)):
             raise SingularSystemError("ALS objective diverged; the problem is "
                                       "ill-posed, raise lambda")
-        trace.append(obj)
-        scale = max(abs(trace[-2]), floor) if sweep else None
-        if sweep and abs(trace[-2] - obj) <= config.rel_tol * scale:
-            return core, b, trace, True
-    return core, b, trace, False
+        for j, i in enumerate(run):
+            trace = traces[i]
+            trace.append(float(obj[j]))
+            converged = len(trace) > 1 and (abs(trace[-2] - trace[-1]) <= config.rel_tol
+                                            * max(abs(trace[-2]), floor))
+            if converged or len(trace) == config.max_sweeps:
+                out[i] = _model(split, ridge[i], core[j], b[j], [f[j] for f in factors],
+                                trace, converged)
+        keep = [j for j, i in enumerate(run) if out[i] is None]
+        run, factors = [run[j] for j in keep], [f[keep] for f in factors]
+    return out
 
 
-def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None, *,
-            split: _Split | None = None):
+def _fit_grid(split, ranks, grid, config):
+    """Yield ``(TarModel, FitReport)`` for each ridge weight in ``grid``, in
+    order; a weight whose fit fails raises its error in its turn."""
+    dims = split.x_mean.shape + split.y_mean.shape
+    ranks = resolve_ranks(ranks, dims)
+    seeds = []
+    for lam in grid:
+        # at full rank the Tucker model is the unstructured ridge VAR, so this
+        # solve is the fit; below full rank it seeds the factors
+        try:
+            gram = split.gram + lam * np.eye(len(split.gram))
+            b = _solve_spd(gram, split.cross, "ridge solve", lam).reshape(dims)
+        except SingularSystemError:
+            if ranks == dims:
+                raise
+            b = None
+        if ranks == dims:
+            yield _model(split, lam, b, b, [np.eye(d) for d in dims],
+                         _objective(split.r_x, split.r_y, b, lam).tolist(), True)
+        seeds.append(b)
+    if ranks == dims:
+        return
+    factors = zip(*(_init_factors(b, dims, ranks, config.seed) for b in seeds))
+    try:
+        fits = _als_sweeps(split, ranks, [np.stack(f) for f in factors],
+                           np.array(grid, dtype=float), config)
+    except np.linalg.LinAlgError:
+        if len(grid) == 1:
+            raise
+        # a fit failed: refit one weight at a time, so that the earliest
+        # weight to fail raises its own error in its turn
+        fits = (fit for lam in grid for fit in _fit_grid(split, ranks, (lam,), config))
+    yield from fits
+
+
+def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
     """Fit the penalized Tucker autoregression; full rank is one ridge solve.
 
     ``x`` and ``y`` share the sample mode first.  ``ranks`` is ``"full"`` or
     one rank per coefficient mode: the non-sample modes of ``x``, then those
-    of ``y``.  ``ridge`` is the nonnegative weight on ``||B||_F^2``.  ``split``
-    is private to :func:`fit_lambda_grid`, which passes the :func:`_split` of
-    this ``x, y`` so that its grid factors the split once.  Returns
+    of ``y``.  ``ridge`` is the nonnegative weight on ``||B||_F^2``.  This is
+    :func:`fit_lambda_grid`'s fit for a grid of one weight.  Returns
     ``(TarModel, FitReport)``.
     """
-    split = _split(x, y) if split is None else split
+    split = _split(x, y)
     if not 0.0 <= ridge < math.inf:
         raise ValueError("ridge must be finite and >= 0")
-    config = config or FitConfig()
-    x_mean, y_mean, n_reg = split.x_mean, split.y_mean, split.x_mean.ndim
-    dims = x_mean.shape + y_mean.shape
-    ranks = resolve_ranks(ranks, dims)
-
-    # at full rank the Tucker model is the unstructured ridge VAR, so this
-    # solve is the fit; below full rank it seeds the factors
-    full_rank = ranks == dims
-    try:
-        gram = split.gram + ridge * np.eye(len(split.gram))
-        b = _solve_spd(gram, split.cross, "ridge solve", ridge).reshape(dims)
-    except SingularSystemError:
-        if full_rank:
-            raise
-        b = None
-
-    if full_rank:
-        core, factors = b, [np.eye(d) for d in dims]
-        trace, converged = [_objective(split.r_x, split.r_y, b, ridge)], True
-    else:
-        factors = _init_factors(b, dims, ranks, config.seed)
-        core, b, trace, converged = _als_sweeps(split, ranks, factors, ridge, config)
-
-    intercept = y_mean[None] - np.tensordot(x_mean[None], b, axes=n_reg)
-    coefficient = TuckerFactors(core, tuple(factors))
-    model = TarModel(intercept=intercept, coefficient=coefficient, ridge=float(ridge),
-                     x_mean=x_mean, y_mean=y_mean)
-    report = FitReport(objective_trace=tuple(trace), converged=converged,
-                       n_sweeps=len(trace))
-    return model, report
+    return next(_fit_grid(split, ranks, (ridge,), config or FitConfig()))
 
 
 def predict(model: TarModel, x) -> np.ndarray:
@@ -439,10 +496,9 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
     x_tr, y_tr = x[:n_train], y[:n_train]
     x_te, y_te = x[n_train:], y[n_train:]
 
-    split = _split(x_tr, y_tr)
     table, fits = {}, {}
-    for lam in config.lambda_grid:
-        model, report = als_fit(x_tr, y_tr, ranks, lam, config, split=split)
+    grid = _fit_grid(_split(x_tr, y_tr), ranks, config.lambda_grid, config)
+    for lam, (model, report) in zip(config.lambda_grid, grid):
         table[lam] = predicted_r2(model, x_te, y_te)
         fits[lam] = model, replace(report, predicted_r2=table[lam])
     unconverged = [lam for lam, (_, report) in fits.items() if not report.converged]

@@ -23,16 +23,20 @@ def as_tensor(data) -> np.ndarray:
     return arr
 
 
-def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
+def unfold(tensor: np.ndarray, mode: int, lead: int = 0) -> np.ndarray:
     """Matricize ``tensor`` along ``mode``.
 
     Returns a matrix of shape ``(shape[mode], prod(other extents))`` whose
     columns enumerate the remaining modes in original order, last fastest.
+    With ``lead`` leading axes, ``tensor`` is a stack of tensors, each
+    matricized alike: ``mode`` counts from the first axis after them.
     """
     tensor = as_tensor(tensor)
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
-    return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
+    order = tensor.ndim - lead
+    if not 0 <= mode < order:
+        raise ValueError(f"mode {mode} out of range for order-{order} tensor")
+    return np.moveaxis(tensor, lead + mode, lead).reshape(
+        tensor.shape[:lead] + (tensor.shape[lead + mode], -1))
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("data,fault", [
         (b"alpha = 0.3\nretain_fraction = abc\n", "bad value for 'retain_fraction'"),
+        (b"seed = 1\nretain_fraction = 2\n", "retain_fraction must lie in (0, 1]"),
+        (b"seed = 1\nmax_sweeps = 0\nalpha = 1.5\n", "max_sweeps must be >= 1"),
         (b"alpha = 0.3\nseed = 1\xff\n", "byte 0xff is not UTF-8"),
         (b"alpha = 0.3\n# \xc3\n", "byte 0xc3 is not UTF-8"),
     ])
@@ -355,19 +357,19 @@ class TestRunPipeline:
 
     def test_fit_runs_one_als_fit_per_grid_value(self, small_panel,
                                                  small_config, monkeypatch):
-        calls = []
-        real = regression.als_fit
+        # at full rank a fit is one ridge solve: each grid value is fitted
+        # once, and the chosen one is not fitted again
+        contexts = []
+        real = regression._solve_spd
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(a, rhs, context, ridge):
+            contexts.append(context)
+            return real(a, rhs, context, ridge)
 
-        # count calls made through either module's binding of als_fit
-        monkeypatch.setattr(regression, "als_fit", counting)
-        monkeypatch.setattr(pipeline_module, "als_fit", counting, raising=False)
+        monkeypatch.setattr(regression, "_solve_spd", counting)
         panel, _ = small_panel
         model, info = fit_model(panel, small_config)
-        assert len(calls) == len(small_config.lambda_grid)
+        assert contexts == ["ridge solve"] * len(small_config.lambda_grid)
         assert info["predicted_r2"] == dict(info["r2_table"])[info["lambda"]]
         assert model.ridge == info["lambda"]
 
@@ -974,6 +976,11 @@ _MODEL_FAULTS = {
     "object-coefficient": ("coefficient.npy",
                            _save_npy(np.ones(2, object), allow_pickle=True),
                            "Object arrays cannot be loaded when allow_pickle=False"),
+    "three-mode-coefficient": ("coefficient.npy", _save_npy(np.ones((2, 1, 2))),
+                               "expected shape (I, J, I, J) = (2, 1, 2, 1) for the "
+                               "labels in meta.json, got (2, 1, 2)"),
+    "coefficient-of-other-labels": ("coefficient.npy", _save_npy(np.ones((3, 1, 3, 1))),
+                                    "expected shape (I, J, I, J) = (2, 1, 2, 1)"),
     "no-meta": ("meta.json", None, "No such file or directory"),
     "no-entities": ("meta.json", b'{"layers": ["x"]}',
                     "expected a list of labels under 'entities'"),
@@ -1020,6 +1027,42 @@ def test_full_run_does_not_load_scipy_linalg(tmp_path):
             "sys.exit('scipy.linalg' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_blas_thread_count_moves_no_choice(tmp_path):
+    # OpenBLAS splits its sums by thread count, so the bytes of a fit may
+    # differ between 1 and 2 threads; what the run chooses must not
+    src = os.path.dirname(os.path.dirname(regression.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        code = ("import json, numpy as np\n"
+                "from multitar.pipeline import PipelineConfig, import_network, "
+                "run_pipeline\n"
+                "from multitar.synthetic import generate_tar_panel\n"
+                "panel, _ = generate_tar_panel(n_entities=20, n_layers=4, "
+                "n_steps=600, seed=3)\n"
+                "config = PipelineConfig(alpha=0.3, ranks=(3, 2, 3, 2), seed=3, "
+                f"retain_fraction=0.2, out_dir={out!r})\n"
+                "fit = run_pipeline(config, panel)['fit']\n"
+                f"net = import_network({out!r} + '/network.csv')\n"
+                f"b = np.load({out!r} + '/model/coefficient.npy')\n"
+                "print(json.dumps([fit, net.kept.tolist(), net.p_values.tolist(), "
+                "b.tolist()]))")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        runs.append(json.loads(subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True,
+            text=True).stdout))
+    (fit1, kept1, p1, b1), (fit2, kept2, p2, b2) = runs
+    for key in ("lambda", "n_sweeps", "converged", "ranks", "n_train"):
+        assert fit1[key] == fit2[key], key
+    assert kept1 == kept2
+    for key in ("objective_final", "predicted_r2"):
+        assert fit1[key] == pytest.approx(fit2[key], rel=1e-10, abs=0), key
+    b1, b2 = np.array(b1), np.array(b2)
+    assert np.max(np.abs(b1 - b2)) <= 1e-10 * np.max(np.abs(b1))
+    np.testing.assert_allclose(p1, p2, rtol=1e-8, atol=0)
 
 
 def _scipy_modules_after(code):

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multitar import regression
@@ -673,31 +673,90 @@ class TestSelectLambda:
 
     @pytest.mark.parametrize("ranks", ["full", (2, 2, 2, 2)])
     def test_grid_models_equal_standalone_fits(self, ranks, monkeypatch):
-        # the grid's shared split must not change a single bit of any fit
+        # the grid's shared split and its batched sweeps must not change a
+        # single bit of any fit
         panel = np.random.default_rng(26).standard_normal((80, 3, 2))
         config = FitConfig(max_sweeps=5, lambda_grid=(0.0, 1.0, 20.0), seed=26)
-        real, fits = regression.als_fit, []
+        real, fits = regression._fit_grid, []
 
         def recording(*args, **kwargs):
-            fits.append(real(*args, **kwargs))
-            return fits[-1]
+            for fit in real(*args, **kwargs):
+                fits.append(fit)
+                yield fit
 
-        monkeypatch.setattr(regression, "als_fit", recording)
+        monkeypatch.setattr(regression, "_fit_grid", recording)
         fit_lambda_grid(panel, ranks, config)
         x, y = build_lagged_pairs(panel, 1)
         n_train = int(x.shape[0] * config.train_fraction)
         assert len(fits) == len(config.lambda_grid)
-        for lam, (model, report) in zip(config.lambda_grid, fits):
-            alone, alone_report = real(x[:n_train], y[:n_train], ranks, lam, config)
-            for got, want in [(model.intercept, alone.intercept),
-                              (model.x_mean, alone.x_mean),
-                              (model.y_mean, alone.y_mean),
-                              (model.coefficient.core, alone.coefficient.core),
-                              *zip(model.coefficient.factors,
-                                   alone.coefficient.factors)]:
-                assert np.array_equal(got, want)
-            assert report.objective_trace == alone_report.objective_trace
-            assert report.n_sweeps == alone_report.n_sweeps
+        for lam, fit in zip(config.lambda_grid, fits):
+            assert_same_fit(fit, als_fit(x[:n_train], y[:n_train], ranks, lam, config))
+
+
+def assert_same_fit(fit, want):
+    """Two ``(TarModel, FitReport)`` pairs agree bit for bit."""
+    (model, report), (alone, alone_report) = fit, want
+    for got, expected in [(model.intercept, alone.intercept),
+                          (model.x_mean, alone.x_mean), (model.y_mean, alone.y_mean),
+                          (model.coefficient_tensor(), alone.coefficient_tensor()),
+                          (model.coefficient.core, alone.coefficient.core),
+                          *zip(model.coefficient.factors, alone.coefficient.factors)]:
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert model.ridge == alone.ridge
+    assert report == alone_report
+
+
+class TestBatchedGrid:
+    """Below full rank the grid runs one ALS for all of its ridge weights."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(2, 4), st.integers(1, 3)),
+           steps=st.integers(6, 60), rank_draws=st.lists(st.floats(0.0, 1.0),
+                                                         min_size=4, max_size=4),
+           others=st.lists(st.sampled_from([0.1, 1.0, 5.0, 50.0]), max_size=3,
+                           unique=True),
+           zero_at=st.integers(0, 3), max_sweeps=st.integers(1, 40),
+           rel_tol=st.sampled_from([1e-1, 1e-3, 1e-6]),
+           seed=st.integers(0, 2**32 - 1))
+    # four weights that stop after 2, 4, 3 and 4 sweeps
+    @example(dims=(3, 3), steps=17, rank_draws=[0.75, 0.25, 1.0, 0.5],
+             others=[50.0, 0.1, 5.0], zero_at=3, max_sweeps=18, rel_tol=1e-3,
+             seed=623)
+    # the batch raises at lambda = 0, the last weight, after the other two
+    @example(dims=(3, 3), steps=6, rank_draws=[1.0, 0.5, 0.5, 0.0],
+             others=[50.0, 1.0], zero_at=3, max_sweeps=26, rel_tol=1e-6, seed=35)
+    def test_grid_fits_equal_standalone_fits(self, dims, steps, rank_draws, others,
+                                             zero_at, max_sweeps, rel_tol, seed):
+        # lambda = 0 is in every grid, so a singular seed takes random factors
+        # or a fit fails; the weights stop at different sweeps
+        rng = np.random.default_rng(seed)
+        i, j = dims
+        ranks = tuple(1 + int(u * (d - 1) + 0.5)
+                      for u, d in zip(rank_draws, (i, j, i, j)))
+        try:
+            resolve_ranks(ranks, (i, j, i, j))
+        except ValueError:
+            ranks = "full"
+        grid = others[:zero_at] + [0.0] + others[zero_at:]
+        config = FitConfig(max_sweeps=max_sweeps, rel_tol=rel_tol,
+                           lambda_grid=grid, seed=seed % 1000)
+        panel = np.cumsum(rng.standard_normal((steps, i, j)), axis=0) * 0.3
+        x, y = build_lagged_pairs(panel + rng.standard_normal(panel.shape), 1)
+        n_train = int(x.shape[0] * config.train_fraction)
+        alone = []
+        for lam in grid:  # the grid before it was batched: one fit after another
+            try:
+                alone.append(als_fit(x[:n_train], y[:n_train], ranks, lam, config))
+            except np.linalg.LinAlgError as exc:
+                with pytest.raises(type(exc)) as err:
+                    fit_lambda_grid(np.concatenate([x[:1], y]), ranks, config)
+                assert str(err.value) == str(exc)
+                return
+        split = regression._split(x[:n_train], y[:n_train])
+        fits = list(regression._fit_grid(split, ranks, grid, config))
+        assert len(fits) == len(grid)
+        for fit, want in zip(fits, alone):
+            assert_same_fit(fit, want)
 
 
 def _spd(seed, n, rank, low):
