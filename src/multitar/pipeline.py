@@ -255,7 +255,9 @@ def fit_model(panel: PanelSeries, config: PipelineConfig):
     n_train = int(n_pairs * config.train_fraction)
     info = {
         "lambda": model.ridge,
-        "r2_table": [[lam, table[lam]] for lam in config.lambda_grid],
+        # strict JSON has no NaN: an unscored lambda's R2 is null
+        "r2_table": [[lam, None if math.isnan(table[lam]) else table[lam]]
+                     for lam in config.lambda_grid],
         "ranks": list(model.coefficient.ranks),
         "n_train": n_train,
         "n_test": n_pairs - n_train,

@@ -193,9 +193,9 @@ def _check_pair(x, y):
 
 
 # A training split, checked, centred and QR-factored once for every fit on it:
-# [r_x | r_y] is the R factor of the centred [Xc | Yc], gram = r_x'r_x, cross =
-# r_x'r_y, and mode_grams[k] is the _mode_gram of r_x for regressor mode k.
-_Split = collections.namedtuple("_Split", "x_mean y_mean r_x r_y gram cross mode_grams")
+# [r_x | r_y] is the R factor of the centred [Xc | Yc], gram = r_x'r_x and
+# cross = r_x'r_y.
+_Split = collections.namedtuple("_Split", "x_mean y_mean r_x r_y gram cross")
 
 
 def _split(x, y) -> _Split:
@@ -204,9 +204,7 @@ def _split(x, y) -> _Split:
     n, p = x.shape[0], x[0].size
     centered = np.hstack([(x - x_mean).reshape(n, p), (y - y_mean).reshape(n, -1)])
     r_x, r_y = np.hsplit(np.linalg.qr(centered, mode="r"), [p])
-    xc = r_x.reshape((-1,) + x.shape[1:])
-    return _Split(x_mean, y_mean, r_x, r_y, r_x.T @ r_x, r_x.T @ r_y,
-                  tuple(_mode_gram(xc, k) for k in range(x.ndim - 1)))
+    return _Split(x_mean, y_mean, r_x, r_y, r_x.T @ r_x, r_x.T @ r_y)
 
 
 def _solve_spd(a, rhs, context, ridge):
@@ -376,13 +374,14 @@ def _als_sweeps(split, ranks, factors, ridge, config):
     xc = r_x.reshape((-1,) + split.x_mean.shape)
     yc = r_y.reshape((-1,) + split.y_mean.shape)
     floor = 1e-12 * (float(np.sum(r_y * r_y)) + 1e-300)
+    grams = [_mode_gram(xc, d) for d in range(n_reg)]
     out, traces, run = [None] * len(ridge), [[] for _ in ridge], list(range(len(ridge)))
     while run:
         lam = ridge[run]
         core = _update_core(xc, yc, ranks, factors, n_reg, lam)
         for d in range(n_reg):
             factors[d] = _update_regressor_factor(xc, yc, core, factors, d, lam,
-                                                  split.mode_grams[d])
+                                                  grams[d])
         for d in range(n_reg, len(ranks)):
             factors[d] = _update_response_factor(xc, yc, core, factors, d, lam)
         b = _partial(core, factors, n_reg)

@@ -15,9 +15,8 @@ from multitar import netfilter
 from multitar.netfilter import (
     WeightedDigraph,
     _MAX_TERMS,
-    _QUAD_NODES,
-    _QUAD_WEIGHTS,
     _lgamma,
+    _share_rule,
     _survival,
     hard_threshold_filter,
     polya_filter,
@@ -51,6 +50,26 @@ def urn_sum(w, s, k, m):
         total = mpmath.fsum(mpmath.rf(b, j) / mpmath.factorial(j)
                             * mpmath.beta(w + j, s - w + 1 + b) for j in range(m))
         return float(total / mpmath.beta(w, s - w + 1))
+
+
+def urn_mixture(w, s, k, a):
+    """Oracle: E[I_X(w, s - w + 1)] for X ~ Beta(1/a, (k - 1)/a) by 30-digit
+    quadrature, in t = x^(1/a) on [0, 1/2] and u = (1 - x)^((k - 1)/a) on
+    [1/2, 1] where those powers are below 1, so the density has no pole."""
+    with mpmath.workdps(30):
+        m, half = 1 / mpmath.mpf(a), mpmath.mpf(0.5)
+        b = (k - 1) * m
+
+        def part(p, q, y):  # the mass of [0, 1/2] under Beta(p, q), in y
+            cdf = lambda x: mpmath.betainc(w, s - w + 1, 0, y(x), regularized=True)
+            if p < 1:
+                return mpmath.quad(lambda t: (1 - t ** (1 / p)) ** (q - 1) / p
+                                   * cdf(t ** (1 / p)), [0, 1e-10, 1e-3, half ** p])
+            return mpmath.quad(lambda x: x ** (p - 1) * (1 - x) ** (q - 1) * cdf(x),
+                               [0, 1e-10, 1e-3, 0.1, half])
+
+        total = part(m, b, lambda x: x) + part(b, m, lambda x: 1 - x)
+        return float(total / mpmath.beta(m, b))
 
 
 class TestPolyaPvalue:
@@ -158,9 +177,10 @@ class TestPolyaPvalue:
         assert abs(got - want) <= 1e-12 * want
 
     def test_rule_error_within_its_stated_bound(self):
-        # 1/a not an integer: the 128-node rule, whose docstring states an
-        # absolute error below 3e-5 for s, k <= 200 and 1e-3 <= a <= 20; the
-        # first two cases are the largest errors seen measuring it
+        # 1/a not an integer: the Gauss rule, whose docstring states an
+        # absolute error below 2e-13 and, where p > 1e-12, a relative error
+        # below 4e-12 for s, k <= 200 and 1e-3 <= a <= 20; the first two
+        # cases are the largest errors of the 128-node rule this one replaced
         cases = [(83, 169, 127, 13.446707368964663),
                  (94, 175, 65, 7.179660447009888)]
         rng = np.random.default_rng(30)
@@ -169,10 +189,45 @@ class TestPolyaPvalue:
             s = int(rng.integers(2, 201))
             k = s if rng.random() < 0.5 else int(rng.integers(2, 201))
             cases.append((int(rng.integers(1, s + 1)), s, k, a))
-        errors = [abs(polya_pvalue(float(w), float(s), k, a)
-                      - beta_binomial_tail(w, s, k, a))
-                  for w, s, k, a in cases]
-        assert max(errors) < 3e-5
+        for w, s, k, a in cases:
+            got = polya_pvalue(float(w), float(s), k, a)
+            want = beta_binomial_tail(w, s, k, a)
+            assert abs(got - want) < 2e-13, (w, s, k, a, got, want)
+            assert want <= 1e-12 or abs(got - want) < 4e-12 * want, (w, s, k, a)
+
+    @pytest.mark.parametrize("a, k", [(0.3, 5.0), (2.5, 5.0), (2.0, 2.0),
+                                      (13.4, 3.0), (1e-3, 200.0), (7.0, 150.0)])
+    def test_share_rule_integrates_the_share_moments(self, a, k):
+        # a Gauss rule on X ~ Beta(m, b) is exact for polynomials of degree
+        # up to 127: E[X^j] = prod_{i<j} (m + i) / (m + b + i); k = 2a and
+        # k = a are where the general Jacobi entries would be 0/0
+        nodes, weights = _share_rule(a, k)
+        assert nodes.size == 64 and np.all((0.0 <= nodes) & (nodes <= 1.0))
+        assert np.all(weights > 0.0)
+        m, b = 1.0 / a, (k - 1.0) / a
+        want = np.cumprod([(m + i) / (m + b + i) for i in range(40)])
+        got = [weights @ nodes ** (j + 1) for j in range(40)]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_share_rule_at_zero_a_is_one_node(self):
+        nodes, weights = _share_rule(0.0, 7.0)
+        assert nodes.tolist() == [1.0 / 7.0] and weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("w, n, a", [(0.05, 60, 13.4), (0.0495, 91, 16.47),
+                                         (1.5, 60, 13.4), (0.3, 13, 2.0),
+                                         (15.86, 16, 10.2), (0.3, 60, 0.3),
+                                         (1.9, 2, 13.4), (2.9, 3, 20.0)])
+    def test_rule_at_real_weights(self, w, n, a):
+        # at a real w, I_y(w, n - w + 1) is not smooth at y = 0 or 1, and the
+        # share piles up at 0 when 1/a is small and at 1 when (n - 1)/a is;
+        # the docstring bounds the error by 1e-7 where (n - 1)/a >= 1, and by
+        # 2.3e-6 absolute and 5.5e-6 relative (the last two cases) otherwise
+        got = polya_pvalue(w, float(n), n, a)
+        want = urn_mixture(w, n, n, a)
+        if (n - 1) / a >= 1.0:
+            assert abs(got - want) <= 1e-7 * min(1.0, 10 * want), (got, want)
+        else:
+            assert abs(got - want) <= min(2.3e-6, 5.5e-6 * want), (got, want)
 
     def test_lgamma_within_its_stated_bound(self):
         # the Stirling series from 13 up, math.lgamma below
@@ -317,12 +372,11 @@ class TestPolyaFilter:
                                        range(math.ceil(0.5 * n * n))]
 
     def test_rule_equals_the_per_edge_form(self):
-        # the rule's share quantiles depend on a and n alone and are found
-        # once per call; this oracle finds them again for every edge
+        # the rule depends on a and n alone and is built once per call; this
+        # oracle builds it again for every edge
         a = 0.3
         absw = np.abs(np.random.default_rng(40).standard_normal((2, 2, 5, 5)))
         n = 5.0
-        m, b = 1.0 / a, (n - 1.0) / a
         strengths = [np.broadcast_to(strength, absw.shape) for strength in
                      (np.cumsum(absw, axis=-1)[..., -1:],
                       absw.sum(axis=-2, keepdims=True))]
@@ -330,13 +384,21 @@ class TestPolyaFilter:
         for idx in np.ndindex(absw.shape):
             for strength in strengths:
                 w = min(absw[idx] / strength[idx], 1.0) * n
-                total = 0.0
-                for node, weight in zip(_QUAD_NODES, _QUAD_WEIGHTS):
-                    share = special.betaincinv(m, b, node)
-                    total += weight * special.betainc(w, n - w + 1.0, share)
-                want[idx] = min(want[idx], min(max(total, 0.0), 1.0))
+                want[idx] = min(want[idx], _survival(np.array([w]), n, n, a)[0])
         got = polya_filter(WeightedDigraph(absw), a, 0.3).p_values
         assert np.array_equal(got, want)
+
+    def test_zero_a_is_the_binomial_tail_bit_for_bit(self):
+        # a = 0 is the share rule's one node X = 1/n with weight 1
+        absw = np.abs(np.random.default_rng(41).standard_normal((2, 2, 7, 7)))
+        shares = absw / np.cumsum(absw, axis=-1)[..., -1:]
+        w = np.minimum(shares, 1.0) * 7.0
+        out_p = special.betainc(w, 7.0 - w + 1.0, 1.0 / 7.0)
+        shares = absw / absw.sum(axis=-2, keepdims=True)
+        w = np.minimum(shares, 1.0) * 7.0
+        in_p = special.betainc(w, 7.0 - w + 1.0, 1.0 / 7.0)
+        got = polya_filter(WeightedDigraph(absw), 0.0, 0.3).p_values
+        assert got.tobytes() == np.minimum(out_p, in_p).tobytes()
 
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0])
     def test_subnormal_share_gives_finite_pvalues(self, a):

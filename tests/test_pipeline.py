@@ -5,9 +5,11 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -399,6 +401,29 @@ class TestRunPipeline:
                              lambda_grid=(0.0, 5.0), out_dir=str(tmp_path / "x"))
         with pytest.raises(PipelineError, match=r"\[fit\].*lambda_grid"):
             run_pipeline(cfg, panel)
+
+    def test_nan_r2_is_written_as_strict_json_null(self, small_panel,
+                                                    small_config, monkeypatch,
+                                                    tmp_path):
+        real = regression.predicted_r2
+        monkeypatch.setattr(regression, "predicted_r2", lambda model, x, y:
+                            math.nan if model.ridge == 0.0 else real(model, x, y))
+
+        def strict(path):
+            def refuse(name):
+                raise ValueError(f"{path.name} holds {name}")
+            return json.loads(path.read_text(), parse_constant=refuse)
+
+        panel, _ = small_panel
+        run_pipeline(small_config, panel)
+        manifest = strict(pathlib.Path(small_config.out_dir) / "manifest.json")
+        assert manifest["fit"]["r2_table"][0] == [0.0, None]
+        assert manifest["fit"]["lambda"] == 5.0
+        export_panel(panel, tmp_path / "panel.csv")
+        staged = tmp_path / "staged"
+        assert main(["fit", "--panel", str(tmp_path / "panel.csv"), "--out",
+                     str(staged), "--lambda", "0,5"]) == 0
+        assert strict(staged / "fit.json")["r2_table"][0] == [0.0, None]
 
     def test_degenerate_ranks_fail_fit_stage(self, small_panel, tmp_path):
         # dims (5, 2, 5, 2): rank 4 of mode 0 exceeds 1 * 2 * 1
@@ -1014,19 +1039,122 @@ def test_model_fault_names_file_and_fault(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Staged commands with their input flag and the file (or model directory)
+# they read, in the order the chain writes them
+_STAGED_INPUTS = (("ingest", "--input", "raw.csv"),
+                  ("fracdiff", "--panel", "panel.csv"),
+                  ("fit", "--panel", "differenced.csv"),
+                  ("build-network", "--model", "model"),
+                  ("filter", "--network", "network_full.csv"),
+                  ("measure", "--network", "network.csv"))
+_STAGED_FLAGS = ["--alpha", "0.3", "--lambda", "1", "--retain", "0.3"]
+
+
+@pytest.fixture(scope="module")
+def staged_inputs(tmp_path_factory):
+    """A directory holding a valid input for every staged command."""
+    root = tmp_path_factory.mktemp("staged")
+    panel, _ = generate_tar_panel(n_entities=3, n_layers=2, n_steps=60, seed=5)
+    export_panel(panel, root / "raw.csv")
+    for command, flag, name in _STAGED_INPUTS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, flag, str(root / name), "--out", str(root),
+                         *_STAGED_FLAGS]) == 0
+    return root
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_malformed_staged_input_fails_with_one_line(staged_inputs, data):
+    # a spoiled input either still parses, or fails with one line tagged by
+    # its command and leaves no --out behind
+    command, flag, name = data.draw(st.sampled_from(_STAGED_INPUTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        source = pathlib.Path(tmp) / name
+        if name == "model":
+            shutil.copytree(staged_inputs / name, source)
+            kinds = ["flip", "truncate", "drop-key", "shape"]
+        else:
+            shutil.copyfile(staged_inputs / name, source)
+            kinds = ["flip", "truncate", "nul", "long-field"]
+        kind = data.draw(st.sampled_from(kinds))
+        target = source
+        if name == "model":
+            target = source / data.draw(st.sampled_from(sorted(
+                p.name for p in source.iterdir())))
+            if kind == "drop-key":
+                target = source / "meta.json"
+            elif kind == "shape":
+                target = source / "coefficient.npy"
+        raw = target.read_bytes()
+        if kind == "flip":
+            at = data.draw(st.integers(0, len(raw) - 1))
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
+            raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+        elif kind == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "nul":
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + b"\0" + raw[at:]
+        elif kind == "long-field":
+            # a quoted first field of the first row past the header
+            head, first, rest = raw.split(b"\n", 2)
+            long = b'"' + b"x" * (csv.field_size_limit() + 1) + b'"'
+            raw = b"\n".join([head, long + first[first.index(b","):], rest])
+        elif kind == "drop-key":
+            meta = json.loads(raw)
+            del meta[data.draw(st.sampled_from(["entities", "layers"]))]
+            raw = json.dumps(meta).encode()
+        else:
+            good = np.load(target).shape
+            shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)
+                              .map(tuple).filter(lambda s: s != good))
+            raw = _save_npy(np.ones(shape))
+        target.write_bytes(raw)
+        out = pathlib.Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, flag, str(source), "--out", str(out), *_STAGED_FLAGS])
+        if rc == 0 and kind in ("flip", "truncate"):
+            return
+        text = err.getvalue()
+        assert rc == 2, (kind, text)
+        assert text.startswith(f"error: [{command}] "), text
+        assert text.count("\n") == 1 and text.endswith("\n"), text
+        assert "Traceback" not in text
+        assert not out.exists()
+
+
 def test_full_run_does_not_load_scipy_linalg(tmp_path):
     # numpy and scipy.linalg each bring their own OpenBLAS and thread pool,
-    # and alternating the two pools doubled the time of a fit's QR
+    # and alternating the two pools doubled the time of a fit's QR; a = 0.3
+    # runs the Gauss rule on the urn share, whose nodes come from numpy
+    src = os.path.dirname(os.path.dirname(regression.__file__))
+    for filter_a in (1.0, 0.3):
+        out = str(tmp_path / str(filter_a))
+        code = ("import sys, multitar.cli\n"
+                "from multitar.pipeline import PipelineConfig, run_pipeline\n"
+                "from multitar.synthetic import generate_tar_panel\n"
+                "panel, _ = generate_tar_panel(n_entities=3, n_layers=2, "
+                "n_steps=200, seed=1)\n"
+                f"run_pipeline(PipelineConfig(out_dir={out!r}, filter_a={filter_a}), "
+                "panel)\n"
+                "sys.exit('scipy.linalg' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert (tmp_path / str(filter_a) / "manifest.json").exists()
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the share rule builds its nodes with np.linalg.eigh, not a
+    # numpy.polynomial table made at import
     src = os.path.dirname(os.path.dirname(regression.__file__))
     code = ("import sys, multitar.cli\n"
-            "from multitar.pipeline import PipelineConfig, run_pipeline\n"
-            "from multitar.synthetic import generate_tar_panel\n"
-            "panel, _ = generate_tar_panel(n_entities=3, n_layers=2, "
-            "n_steps=200, seed=1)\n"
-            f"run_pipeline(PipelineConfig(out_dir={str(tmp_path)!r}), panel)\n"
-            "sys.exit('scipy.linalg' in sys.modules)")
+            "print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_blas_thread_count_moves_no_choice(tmp_path):
