@@ -470,8 +470,9 @@ def predicted_r2(model: TarModel, x_test, y_test) -> float:
     pred = predict(model, x_test)
     if pred.shape != y_test.shape:
         raise ValueError("y_test shape does not match predictions")
-    rss = float(np.sum((y_test - pred) ** 2))
-    tss = float(np.sum((y_test - model.y_mean[None]) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives a NaN or -inf R2
+        rss = float(np.sum((y_test - pred) ** 2))
+        tss = float(np.sum((y_test - model.y_mean[None]) ** 2))
     if tss <= 0.0:
         raise ValueError("zero total sum of squares on the test set")
     return 1.0 - rss / tss
@@ -508,5 +509,8 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
     if not scored:
         raise ValueError(f"predicted R2 is NaN for every lambda in lambda_grid "
                          f"{list(config.lambda_grid)}")
+    if len(scored) < len(table):
+        logger.warning("lambda %s left unscored: predicted R2 is NaN",
+                       [lam for lam in table if lam not in scored])
     model, report = fits[max(scored, key=lambda lam: (table[lam], -lam))]
     return model, report, table

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multitar import fracdiff
 from multitar.fracdiff import (
     ADF_CRITICAL_VALUES,
     AdfResult,
     FracDiffSpec,
+    _adf_screen,
     adf_test,
     default_adf_lags,
     find_min_alpha,
@@ -26,7 +28,8 @@ from multitar.fracdiff import (
     fracdiff_weights,
 )
 import multitar
-from multitar.synthetic import fractional_integrate, generate_arfima_panel
+from multitar.synthetic import (fractional_integrate, generate_arfima_panel,
+                                generate_tar_panel)
 
 
 def direct_filter(x, alpha, n_weights=None):
@@ -236,6 +239,17 @@ class TestFindMinAlpha:
         with pytest.raises(ValueError, match="n_lags must be >= 0"):
             find_min_alpha(panel, (0.0, 0.5), n_lags=-2)
 
+    def test_unknown_level_is_rejected_not_read_as_nonstationary(self):
+        panel = np.random.default_rng(17).standard_normal((500, 4))
+        with pytest.raises(ValueError,
+                           match=r"^level must be one of \[0\.01, 0\.05, 0\.1\]$"):
+            find_min_alpha(panel, (0.0, 0.5), level=0.2)
+
+    def test_fractional_n_lags_is_rejected(self):
+        panel = np.random.default_rng(18).standard_normal((500, 4))
+        with pytest.raises(ValueError, match=r"^n_lags must be an integer, got 1\.5$"):
+            find_min_alpha(panel, (0.0, 0.5), n_lags=1.5)
+
     def test_grid_validation(self):
         panel = np.random.default_rng(13).standard_normal((100, 2))
         with pytest.raises(ValueError, match="empty"):
@@ -319,3 +333,82 @@ def test_import_does_not_load_scipy_signal():
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# Columns whose ADF regressions the screen must clear, or must leave to
+# adf_test: a constant or linear column is degenerate; a near-constant log
+# level, a log walk with tiny steps or noise far from the intercept's scale
+# makes adf_test's own, unscaled Gram ill conditioned or rank deficient, and
+# the Gram of huge noise overflows.
+_COLUMN_KINDS = ("noise", "walk", "arfima", "constant", "linear",
+                 "near-constant log", "log walk", "tiny noise", "huge noise")
+
+
+@st.composite
+def screen_cases(draw):
+    n_lags = draw(st.integers(0, 6))
+    t = draw(st.sampled_from([2 * n_lags + 4, 2 * n_lags + 5, 60, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=4)):
+        e, scale = rng.standard_normal(t), 10.0 ** rng.uniform(-8, -1)
+        columns.append({
+            "noise": e,
+            "walk": np.cumsum(e),
+            "arfima": fractional_integrate(e, rng.uniform(0.0, 0.9)),
+            "constant": np.full(t, rng.uniform(-5.0, 5.0)),
+            "linear": rng.uniform(-1.0, 1.0) * np.arange(t) + rng.uniform(-3.0, 3.0),
+            "near-constant log": np.log(100.0 + scale * e),
+            "log walk": np.log(100.0) + np.cumsum(scale * e),
+            "tiny noise": scale ** 2 * e,
+            "huge noise": 1e160 / scale * e,
+        }[kind])
+    grid = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), min_size=1,
+                         max_size=5, unique=True))
+    level = draw(st.sampled_from(sorted(ADF_CRITICAL_VALUES)))
+    return np.column_stack(columns), sorted(grid), level, n_lags
+
+
+def _search(panel, grid, level, n_lags):
+    try:
+        return find_min_alpha(panel, grid, level=level, n_lags=n_lags)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# adf_test's own t-ratio is NaN, with this warning, on some near-constant log
+# levels; the screen must leave those columns to it
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(case=screen_cases())
+def test_screen_leaves_the_search_unchanged(case):
+    # the screen patched to clear nothing is the plain adf_test loop
+    screened = _search(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracdiff, "_adf_screen", lambda diff, n_lags, level:
+                   np.full(diff.shape[1], np.nan))
+        assert _search(*case) == screened
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(case=screen_cases())
+def test_screen_clears_only_rejections_within_its_bound(case):
+    panel, grid, level, n_lags = case
+    for alpha in grid:
+        diff = fracdiff_apply(panel, FracDiffSpec(alpha, panel.shape[0]))
+        stats = _adf_screen(diff, n_lags, level)
+        for j in np.flatnonzero(~np.isnan(stats)):
+            result = adf_test(diff[:, j], n_lags, level)
+            assert result.statistic < ADF_CRITICAL_VALUES[level]
+            assert abs(stats[j] - result.statistic) <= 1e-8 * abs(result.statistic)
+
+
+def test_screen_clears_every_column_of_a_log_panel():
+    # the log of a generated level panel, as the pipeline searches it: no
+    # column needs adf_test, and the t-ratios match it to 1e-12
+    panel, _ = generate_tar_panel(n_entities=5, n_layers=2, n_steps=1000, seed=3)
+    values = np.log(panel.values).reshape(1000, -1)
+    stats = _adf_screen(values, default_adf_lags(1000), 0.05)
+    want = [adf_test(c).statistic for c in values.T]
+    np.testing.assert_allclose(stats, want, rtol=1e-12)

@@ -644,6 +644,18 @@ class TestSelectLambda:
         with pytest.raises(ValueError, match=r"lambda_grid \[0\.0, 5\.0\]"):
             fit_lambda_grid(panel, "full", FitConfig(lambda_grid=(0.0, 5.0)))
 
+    def test_unscored_lambda_is_logged_once(self, caplog, monkeypatch):
+        real = regression.predicted_r2
+        monkeypatch.setattr(regression, "predicted_r2", lambda model, x, y:
+                            math.nan if model.ridge == 0.0 else real(model, x, y))
+        panel = np.random.default_rng(26).standard_normal((80, 3, 2))
+        with caplog.at_level(logging.WARNING, logger="multitar.regression"):
+            model, _, table = fit_lambda_grid(panel, "full",
+                                              FitConfig(lambda_grid=(0.0, 1.0)))
+        assert [r.getMessage() for r in caplog.records] == [
+            "lambda [0.0] left unscored: predicted R2 is NaN"]
+        assert model.ridge == 1.0 and math.isnan(table[0.0])
+
     def test_unconverged_fits_are_logged_once(self, caplog):
         panel = np.random.default_rng(24).standard_normal((80, 3, 2))
         config = FitConfig(max_sweeps=1, lambda_grid=(0.0, 1.0), seed=24)
