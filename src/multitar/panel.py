@@ -161,11 +161,11 @@ def _read_long_csv(path, header, label_fields, parsers, fault):
     a refused label."""
     axes = [_Ids() for _ in label_fields]
     m, n = len(header) - len(parsers), len(parsers)
-    # two buffers grow, not one per column, so the heap fragments less:
-    # each row's label ids and row number, and each row's parsed fields
-    ints, floats = array("q"), array("d")
+    # three buffers grow, not one per column, so the heap fragments less:
+    # each row's label ids, each row's number and each row's parsed fields
+    ints, nums, floats = array("i"), array("q"), array("d")
     for nos, columns in _csv_blocks(path, header):
-        rows = np.empty((len(nos), m + 1), np.int64)
+        rows = np.empty((len(nos), m), np.int32)
         try:
             parsed = [array("d", map(*pc)) for pc in zip(parsers, columns[m:])]
             for axis, fields in zip(axes, label_fields):
@@ -173,7 +173,7 @@ def _read_long_csv(path, header, label_fields, parsers, fault):
                 cols = [columns[c] for c in fields]
                 labels = cols[0] if len(cols) == 1 else itertools.chain(*zip(*cols))
                 rows[:, fields] = np.fromiter(map(axis.__getitem__, labels),
-                                              np.int64).reshape(-1, len(fields))
+                                              np.int32).reshape(-1, len(fields))
         except ValueError:  # the block holds a fault: name its earliest row
             for no, row in zip(nos, zip(*columns)):
                 for c, (parse, field) in enumerate(zip(parsers, row[m:])):
@@ -185,11 +185,11 @@ def _read_long_csv(path, header, label_fields, parsers, fault):
                             error=error)) from None
                 _check_labels(*row[:m], where=f"row {no}: ")
             raise
-        rows[:, m] = nos
         ints.frombytes(rows.tobytes())
+        nums.frombytes(np.asarray(nos, np.int64).tobytes())
         floats.frombytes(np.column_stack(parsed).tobytes())
-    *ids, row_nos = np.frombuffer(ints, np.int64).reshape(-1, m + 1).T
-    return axes, ids, np.frombuffer(floats).reshape(-1, n).T, row_nos
+    return (axes, np.frombuffer(ints, np.int32).reshape(-1, m).T,
+            np.frombuffer(floats).reshape(-1, n).T, np.frombuffer(nums, np.int64))
 
 
 def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
@@ -212,13 +212,13 @@ def ingest_csv(path, on_missing: str = "reject") -> PanelSeries:
     if bad.size:
         raise ValueError(f"row {row_nos[bad[0]]}: non-finite value {values[bad[0]]}")
 
-    labels, pos = [], []  # per axis: sorted labels, each row's place in them
+    labels, cells = [], np.zeros(values.size, np.int64)  # sorted labels; row cells
     for axis, idx in zip(seen, ids):
         labels.append(sorted(axis))
         # argsort inverts the map from sorted place to first-appearance id
-        pos.append(np.argsort([axis[label] for label in labels[-1]])[idx])
+        cells *= len(labels[-1])
+        cells += np.argsort([axis[label] for label in labels[-1]])[idx]
     cube = np.empty(tuple(map(len, labels)))
-    cells = np.ravel_multi_index(pos, cube.shape)
     counts = np.bincount(cells, minlength=cube.size)
     key = lambda cell: tuple(axis[k] for axis, k in zip(
         labels, np.unravel_index(cell, cube.shape)))

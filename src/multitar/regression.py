@@ -15,18 +15,18 @@ Fits run on ``[R_x | R_y]``, the R factor of the centered ``[Xc | Yc]``
 norms ``||R_y - R_x B|| = ||Yc - Xc B||``, so no fit step grows with T.  The
 lambda grid factors its training split once for all of its fits, and every
 solve comes from ``numpy.linalg``, so a fit runs on numpy's BLAS alone.
-At full Tucker rank the model is the unstructured ridge VAR on the
-unfoldings, and the fit is one ridge solve ``(R_x'R_x + ridge I)^-1 R_x'R_y``
-with identity factors.  Below full rank that solve seeds each factor with the
-leading singular vectors of its unfolding, and each ALS sweep then updates the
-core and every factor in mode order.  Each update is a few matrix products on
-the Kronecker form, with the factor being updated set to an identity, and is
-the exact minimizer of the penalized objective in that block with the others
-held fixed, so the objective trace is non-increasing.  The grid runs one ALS
-for all of its weights: the core, the factors and every update carry a
-leading axis, one slice per weight, and a weight leaves the sweeps when it
-converges.  Each product is formed per slice as for one fit, so a grid fit
-equals the standalone :func:`als_fit` bit for bit.
+At full Tucker rank the model is the unstructured ridge VAR on the unfoldings,
+with identity factors, and one SVD ``R_x = U diag(s) V'`` fits a whole grid:
+``B = V diag(s / (s^2 + ridge)) U'R_y``.  Below full rank that B seeds each
+factor with the leading singular vectors of its unfolding, and each ALS sweep
+then updates the core and every factor in mode order.  Each update is a few
+matrix products on the Kronecker form, with the factor being updated set to an
+identity, and is the exact minimizer of the penalized objective in that block
+with the others held fixed, so the objective trace is non-increasing.  The
+grid runs one ALS for all of its weights: the core, the factors and every
+update carry a leading axis, one slice per weight, and a weight leaves the
+sweeps when it converges.  Each product is formed per slice as for one fit, so
+a grid fit equals the standalone :func:`als_fit` bit for bit.
 """
 
 from __future__ import annotations
@@ -193,9 +193,8 @@ def _check_pair(x, y):
 
 
 # A training split, checked, centred and QR-factored once for every fit on it:
-# [r_x | r_y] is the R factor of the centred [Xc | Yc], gram = r_x'r_x and
-# cross = r_x'r_y.
-_Split = collections.namedtuple("_Split", "x_mean y_mean r_x r_y gram cross")
+# [r_x | r_y] is the R factor of the centred [Xc | Yc].
+_Split = collections.namedtuple("_Split", "x_mean y_mean r_x r_y")
 
 
 def _split(x, y) -> _Split:
@@ -204,7 +203,7 @@ def _split(x, y) -> _Split:
     n, p = x.shape[0], x[0].size
     centered = np.hstack([(x - x_mean).reshape(n, p), (y - y_mean).reshape(n, -1)])
     r_x, r_y = np.hsplit(np.linalg.qr(centered, mode="r"), [p])
-    return _Split(x_mean, y_mean, r_x, r_y, r_x.T @ r_x, r_x.T @ r_y)
+    return _Split(x_mean, y_mean, r_x, r_y)
 
 
 def _solve_spd(a, rhs, context, ridge):
@@ -407,18 +406,19 @@ def _fit_grid(split, ranks, grid, config):
     order; a weight whose fit fails raises its error in its turn."""
     dims = split.x_mean.shape + split.y_mean.shape
     ranks = resolve_ranks(ranks, dims)
+    # every weight's full-rank B; lambda 0 is singular where s^2 spans over 1e13
+    p = split.r_x.shape[1]  # R_x is zero below its first p rows
+    u, sv, vt = np.linalg.svd(split.r_x[:p], full_matrices=False)
+    uty = u.T @ split.r_y[:p]
+    singular = sv.size < p or sv[-1] ** 2 <= 1e-13 * sv[0] ** 2
     seeds = []
     for lam in grid:
-        # at full rank the Tucker model is the unstructured ridge VAR, so this
-        # solve is the fit; below full rank it seeds the factors
-        try:
-            gram = split.gram + lam * np.eye(len(split.gram))
-            b = _solve_spd(gram, split.cross, "ridge solve", lam).reshape(dims)
-        except SingularSystemError:
-            if ranks == dims:
-                raise
-            b = None
+        b = None if lam == 0.0 and singular else (
+            vt.T @ ((sv / (sv * sv + lam))[:, None] * uty)).reshape(dims)
         if ranks == dims:
+            if b is None:
+                raise SingularSystemError("singular normal equations in ridge solve "
+                                          "with lambda = 0; raise lambda to regularize")
             yield _model(split, lam, b, b, [np.eye(d) for d in dims],
                          _objective(split.r_x, split.r_y, b, lam).tolist(), True)
         seeds.append(b)
@@ -438,7 +438,7 @@ def _fit_grid(split, ranks, grid, config):
 
 
 def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
-    """Fit the penalized Tucker autoregression; full rank is one ridge solve.
+    """Fit the penalized Tucker autoregression; full rank is one SVD of R_x.
 
     ``x`` and ``y`` share the sample mode first.  ``ranks`` is ``"full"`` or
     one rank per coefficient mode: the non-sample modes of ``x``, then those

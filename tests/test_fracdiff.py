@@ -154,6 +154,25 @@ class TestApply:
             FracDiffSpec(0.2, 0)
 
 
+def adf_oracle(x, n_lags):
+    """Oracle: the ADF t-ratio from normal equations in 50-digit arithmetic,
+    with the level centred."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = len(x) - 1 - n_lags
+        level = [mpmath.mpf(v) for v in x[n_lags:-1]]
+        mean = mpmath.fsum(level) / m
+        dx = [mpmath.mpf(b) - mpmath.mpf(a) for a, b in zip(x, x[1:])]
+        design = mpmath.matrix([
+            [1, level[r] - mean] + [dx[n_lags - i + r] for i in range(1, n_lags + 1)]
+            for r in range(m)])
+        y = mpmath.matrix(dx[n_lags:])
+        inv = mpmath.inverse(design.T * design)
+        beta = inv * (design.T * y)
+        ssr = mpmath.fsum(e ** 2 for e in y - design * beta)
+        return float(beta[1] / mpmath.sqrt(ssr / (m - n_lags - 2) * inv[1, 1]))
+
+
 class TestAdf:
     def test_white_noise_rejects(self):
         x = np.random.default_rng(1).standard_normal(1000)
@@ -178,6 +197,15 @@ class TestAdf:
     def test_constant_series_is_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             adf_test(np.full(50, 3.0))
+
+    def test_near_constant_log_level_matches_extended_precision(self):
+        # the level is far from its spread, so normal equations would square a
+        # bad condition number (measured error 5e-16 relative)
+        noise = np.random.default_rng(1).standard_normal((4, 300))
+        for eps, row in zip((1e-6, 1e-6, 1e-4, 1e-4), noise):
+            x = np.log(100.0 + eps * row)
+            assert adf_test(x, 8).statistic == pytest.approx(adf_oracle(x, 8),
+                                                             rel=1e-12)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
@@ -338,8 +366,8 @@ def test_import_does_not_load_scipy_signal():
 # Columns whose ADF regressions the screen must clear, or must leave to
 # adf_test: a constant or linear column is degenerate; a near-constant log
 # level, a log walk with tiny steps or noise far from the intercept's scale
-# makes adf_test's own, unscaled Gram ill conditioned or rank deficient, and
-# the Gram of huge noise overflows.
+# makes the unscaled Gram ill conditioned or rank deficient, and the Gram of
+# huge noise overflows.
 _COLUMN_KINDS = ("noise", "walk", "arfima", "constant", "linear",
                  "near-constant log", "log walk", "tiny noise", "huge noise")
 
@@ -376,9 +404,6 @@ def _search(panel, grid, level, n_lags):
         return type(exc), str(exc)
 
 
-# adf_test's own t-ratio is NaN, with this warning, on some near-constant log
-# levels; the screen must leave those columns to it
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(case=screen_cases())
 def test_screen_leaves_the_search_unchanged(case):
@@ -390,7 +415,6 @@ def test_screen_leaves_the_search_unchanged(case):
         assert _search(*case) == screened
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(case=screen_cases())
 def test_screen_clears_only_rejections_within_its_bound(case):

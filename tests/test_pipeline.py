@@ -359,19 +359,23 @@ class TestRunPipeline:
 
     def test_fit_runs_one_als_fit_per_grid_value(self, small_panel,
                                                  small_config, monkeypatch):
-        # at full rank a fit is one ridge solve: each grid value is fitted
-        # once, and the chosen one is not fitted again
-        contexts = []
-        real = regression._solve_spd
+        # at full rank one SVD of R_x gives every grid value's fit, no system
+        # is solved, and the chosen fit is not fitted again
+        shapes, real = [], np.linalg.svd
 
-        def counting(a, rhs, context, ridge):
-            contexts.append(context)
-            return real(a, rhs, context, ridge)
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(regression, "_solve_spd", counting)
+        def no_solve(*args):
+            raise AssertionError("_solve_spd called at full rank")
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(regression, "_solve_spd", no_solve)
         panel, _ = small_panel
         model, info = fit_model(panel, small_config)
-        assert contexts == ["ridge solve"] * len(small_config.lambda_grid)
+        p = panel.values[0].size
+        assert len(shapes) == 1 and shapes[0][1] == p
         assert info["predicted_r2"] == dict(info["r2_table"])[info["lambda"]]
         assert model.ridge == info["lambda"]
 

@@ -160,6 +160,36 @@ class TestAlsFit:
         w = closed_form_fit(x, y, ridge)
         assert np.linalg.norm(b - w) / np.linalg.norm(w) < 1e-8
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 40), x_dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           y_dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           ridge=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]),
+           scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=5, x_dims=(4, 4), y_dims=(2, 1), ridge=1.0, scale=0.0, seed=1)
+    @example(n=5, x_dims=(4, 4), y_dims=(2, 1), ridge=0.0, scale=0.0, seed=1)
+    def test_full_rank_svd_path_matches_closed_form(self, n, x_dims, y_dims, ridge,
+                                                    scale, seed):
+        # the SVD of R_x against the normal equations, p > n included: they
+        # agree to 1e-12 * cond(Xc'Xc + ridge I) of the largest entry (2e-14
+        # at worst on 3000 draws), and lambda = 0 is singular for both or neither
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, *x_dims)) * 10.0 ** scale
+        y = rng.standard_normal((n, *y_dims))
+        p = math.prod(x_dims)
+        try:
+            want = closed_form_fit(x, y, ridge)
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError) as err:
+                als_fit(x, y, "full", ridge)
+            assert str(err.value) == ("singular normal equations in ridge solve "
+                                      "with lambda = 0; raise lambda to regularize")
+            assert ridge == 0.0 and "lambda = 0" in str(exc)
+            return
+        got = als_fit(x, y, "full", ridge)[0].coefficient_tensor().reshape(p, -1)
+        xc = x.reshape(n, p) - x.reshape(n, p).mean(axis=0)
+        cond = np.linalg.cond(xc.T @ xc + ridge * np.eye(p))
+        assert np.abs(got - want).max() <= 1e-12 * cond * np.abs(want).max()
+
     def test_reduced_rank_recovers_factor_subspaces(self):
         # simulation oracle: principal angles stay below 5 degrees
         rng = np.random.default_rng(31)
