@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from . import pipeline as pl
-from .panel import export_panel, ingest_csv
+from .panel import export_panel, read_panel
 from .synthetic import generate_tar_panel
 
 # Staged commands: name, help, input flag, input help.  The flag also picks
@@ -63,7 +63,7 @@ def _read_input(flag: str, path: str, config: pl.PipelineConfig):
         return pl.load_model_coefficient(path)
     if flag == "--network":
         return pl.import_network(path)
-    return ingest_csv(path, on_missing=config.missing_policy)
+    return read_panel(path, on_missing=config.missing_policy)
 
 
 def _cmd_stage(args) -> None:
@@ -77,7 +77,7 @@ def _cmd_stage(args) -> None:
 
 def _cmd_pipeline(args) -> None:
     config = _load_config(args)
-    panel = ingest_csv(args.input, on_missing=config.missing_policy)
+    panel = read_panel(args.input, on_missing=config.missing_policy)
     manifest = pl.run_pipeline(config, panel)
     print(f"alpha={manifest['fracdiff']['alpha']} "
           f"lambda={manifest['fit']['lambda']} "

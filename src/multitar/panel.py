@@ -8,8 +8,10 @@ lexicographically so identical data always yields an identical cube.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
+import json
 import logging
 import re
 from array import array
@@ -21,6 +23,8 @@ logger = logging.getLogger(__name__)
 
 CSV_HEADER = ["date", "entity", "layer", "value"]
 _BLOCK = 8192  # characters a CSV reader takes at a time, then to a line end
+CUBE = ".cube"  # suffix of the binary cube written beside a panel CSV
+_CUBE_FORMAT = "multitar-cube 1"
 
 
 def csv_field(label: str) -> str:
@@ -249,3 +253,42 @@ def export_panel(panel: PanelSeries, path) -> None:
         for date, row in zip(map(csv_field, panel.dates), panel.columns()):
             fh.write("".join(f"{date},{cell}{v!r}\r\n"
                              for cell, v in zip(cells, row.tolist())))
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):  # 1 MiB at a time
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_cube(panel: PanelSeries, path) -> None:
+    """Write at ``path`` the cube of the CSV :func:`export_panel` wrote at
+    ``path`` less :data:`CUBE`: a JSON line (format tag, CSV sha256, labels),
+    then little-endian doubles in C order; none if a parse would sort an axis."""
+    if any(list(axis) != sorted(axis) for axis in (panel.entities, panel.layers)):
+        return
+    head = {"format": _CUBE_FORMAT, "sha256": _sha256(str(path).removesuffix(CUBE)),
+            "dates": panel.dates, "entities": panel.entities, "layers": panel.layers}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(head, sort_keys=True, ensure_ascii=True).encode() + b"\n")
+        panel.values.astype("<f8", copy=False).tofile(fh)
+
+
+def read_panel(path, on_missing: str = "reject") -> PanelSeries:
+    """:func:`ingest_csv` of ``path``, loaded from the cube beside it while the
+    CSV's sha256 is the one the cube records; a cube not used is logged."""
+    try:
+        with open(str(path) + CUBE, "rb") as fh:
+            head = json.loads(fh.readline())
+            labels = [head[axis] for axis in ("dates", "entities", "layers")]
+            values = np.empty(tuple(map(len, labels)), "<f8")
+            if (head["format"] != _CUBE_FORMAT or head["sha256"] != _sha256(path)
+                    or fh.readinto(values) != values.nbytes or fh.read(1)):
+                raise ValueError("its format tag, CSV digest or length does not match")
+            return PanelSeries(*labels, values)
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        if not isinstance(error, FileNotFoundError):  # no cube, or no CSV
+            logger.info("%s%s not used: %s", path, CUBE, error)
+    return ingest_csv(path, on_missing)

@@ -25,8 +25,8 @@ from . import multinet
 from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
                        find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
-from .panel import (PanelSeries, _check_labels, _read_long_csv, csv_field,
-                    export_panel)
+from .panel import (CUBE, PanelSeries, _check_labels, _read_long_csv, csv_field,
+                    export_panel, write_cube)
 from .regression import FitConfig, check_ranks, fit_lambda_grid
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -56,7 +56,9 @@ OUTPUTS = {"differenced_panel": "differenced.csv", "model": "model",
            "edge_overlap": "edge_overlap.csv", "node_measures": "node_measures.csv"}
 _MATRICES = ("assortativity", "edge_overlap", "node_measures")  # by export_matrices
 # Files that only the next staged command reads; run_pipeline writes none.
-HANDOFFS = {"panel": "panel.csv", "network_full": "network_full.csv"}
+HANDOFFS = {"panel": "panel.csv", "panel_cube": "panel.csv" + CUBE,
+            "differenced_cube": "differenced.csv" + CUBE,
+            "network_full": "network_full.csv"}
 
 
 class PipelineError(RuntimeError):
@@ -520,12 +522,14 @@ def _write_json(obj, path) -> None:
 
 
 def _ingest_row(panel, config):
-    return panel, None, {"panel": partial(export_panel, panel)}
+    return panel, None, {"panel": partial(export_panel, panel),
+                         "panel_cube": partial(write_cube, panel)}
 
 
 def _fracdiff_row(panel, config):
     differenced, info = prepare_panel(panel, config)
-    return differenced, info, {"differenced_panel": partial(export_panel, differenced)}
+    return differenced, info, {"differenced_panel": partial(export_panel, differenced),
+                               "differenced_cube": partial(write_cube, differenced)}
 
 
 def _fit_row(panel, config):

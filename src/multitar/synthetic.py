@@ -81,6 +81,10 @@ def generate_tar_panel(n_entities: int = 10, n_layers: int = 4,
     (exponentiated fractionally integrated states) and ``B_star`` is the
     (I, J, I, J) coefficient that generated the underlying dynamics.
     """
+    for name, n in (("n_entities", n_entities), ("n_layers", n_layers),
+                    ("n_steps", n_steps)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     b_star = sparse_stable_coefficient(
         n_entities, n_layers, support_fraction, spectral_norm, seed=seed + 1
@@ -100,13 +104,12 @@ def generate_tar_panel(n_entities: int = 10, n_layers: int = 4,
     start = datetime.date(2001, 1, 1)
     dates = [(start + datetime.timedelta(days=t)).isoformat()
              for t in range(n_steps)]
-    # Labels are assigned in sorted order so that axis j of the cube and of
-    # b_star still means layer j after ingestion re-sorts labels.
-    entities = [f"E{i:02d}" for i in range(n_entities)]
+    # Labels are assigned in sorted order (an axis's numbers in one width) so
+    # that axis j of the cube and of b_star still means layer j after ingestion.
+    entities, layers = ([f"{c}{k:0{max(2, len(str(n - 1)))}d}" for k in range(n)]
+                        for c, n in (("E", n_entities), ("L", n_layers)))
     if n_layers <= len(DEFAULT_LAYERS):
         layers = sorted(DEFAULT_LAYERS[:n_layers])
-    else:
-        layers = [f"L{j:02d}" for j in range(n_layers)]
     panel = PanelSeries(dates=dates, entities=entities, layers=layers,
                         values=values)
     return panel, b_star

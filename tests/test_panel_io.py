@@ -1,13 +1,16 @@
 """Panel CSV ingestion, validation, and canonical round-trips."""
 
 import codecs
+import contextlib
 import csv
 import io
+import logging
 import math
 import os
 import random
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multitar import panel as panel_module
+from multitar.cli import main
 from multitar.multinet import apply_filter, from_coefficient
 from multitar.panel import (CSV_HEADER, PanelSeries, csv_field, export_panel,
-                            ingest_csv)
-from multitar.pipeline import NETWORK_HEADER, export_network, import_network
+                            ingest_csv, read_panel)
+from multitar.pipeline import (NETWORK_HEADER, PipelineConfig, export_network,
+                               import_network, run_stage)
 
 # The label alphabet of the round trips: any text XML 1.0 can carry, so no C0
 # control other than tab, LF and CR, no lone surrogate, no U+FFFE or U+FFFF.
@@ -292,6 +298,108 @@ class TestExportAnyLabel:
             export_panel(panel, path)
             with open(path, "rb") as fh:
                 assert fh.read() == buf.getvalue().encode("utf-8")
+
+
+@contextlib.contextmanager
+def _panel_log():
+    """The records that ``multitar.panel`` logs at INFO and above while open."""
+    records, logger = [], logging.getLogger("multitar.panel")
+    handler, level = logging.Handler(logging.INFO), logger.level
+    handler.emit = records.append
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _staged_ingest(panel, tmp):
+    """Run ``multitar ingest`` on the panel's CSV into ``tmp/out``; return the
+    path of the ``panel.csv`` it writes beside its cube."""
+    raw, out = os.path.join(tmp, "raw.csv"), os.path.join(tmp, "out")
+    export_panel(panel, raw)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--input", raw, "--out", out]) == 0
+    return os.path.join(out, "panel.csv")
+
+
+def _assert_same_panel(got, want):
+    assert (got.dates, got.entities, got.layers) == (
+        want.dates, want.entities, want.layers)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def _edit_last_value(path, cube):
+    panel = ingest_csv(path)
+    values = panel.values.copy()
+    values.flat[-1] = 2.5 if values.flat[-1] != 2.5 else 1.5
+    export_panel(PanelSeries(panel.dates, panel.entities, panel.layers, values),
+                 path)
+
+
+def _spoil_bytes(path, spoil):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(spoil(data))
+
+
+# Ways to spoil a staged panel.csv and its cube, given both paths; after any
+# of them the cube is not used.
+_SPOIL = {
+    "edited-csv-value": _edit_last_value,
+    "truncated-cube": lambda path, cube: _spoil_bytes(cube, lambda b: b[:-1]),
+    "short-payload": lambda path, cube: _spoil_bytes(cube, lambda b: b[:-8]),
+    "trailing-byte": lambda path, cube: _spoil_bytes(cube, lambda b: b + b"\0"),
+    "junk-cube": lambda path, cube: _spoil_bytes(
+        cube, lambda b: b"not a cube \x00\xff" * 64),
+    "wrong-format-tag": lambda path, cube: _spoil_bytes(cube, lambda b: b.replace(
+        b'"multitar-cube 1"', b'"multitar-cube 0"', 1)),
+    "missing-cube": lambda path, cube: os.remove(cube),
+}
+
+
+class TestCube:
+    @settings(max_examples=40, deadline=None)
+    @given(panel=panels())
+    @example(panel=_AWKWARD)
+    def test_staged_cube_reads_as_the_csv_parses(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _staged_ingest(panel, tmp)
+            assert os.path.isfile(path + ".cube")
+            want = ingest_csv(path)
+            with mock.patch.object(panel_module, "ingest_csv",
+                                   wraps=ingest_csv) as spy, _panel_log() as log:
+                got = read_panel(path)
+        spy.assert_not_called()
+        assert not log
+        _assert_same_panel(got, want)
+        _assert_same_panel(got, panel)
+
+    @pytest.mark.parametrize("case", list(_SPOIL))
+    @settings(max_examples=10, deadline=None)
+    @given(panel=panels())
+    @example(panel=_AWKWARD)
+    def test_unused_cube_falls_back_to_the_parse(self, case, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _staged_ingest(panel, tmp)
+            _SPOIL[case](path, path + ".cube")
+            with _panel_log() as log:
+                got = read_panel(path)
+            want = ingest_csv(path)
+        _assert_same_panel(got, want)
+        # one INFO line names a cube that is there but not used
+        assert [r.levelno for r in log] == (
+            [] if case == "missing-cube" else [logging.INFO])
+
+    def test_panel_with_unsorted_entities_gets_no_cube(self, tmp_path):
+        panel = PanelSeries(dates=["d"], entities=["b", "a"], layers=["x"],
+                            values=np.ones((1, 2, 1)))
+        run_stage("ingest", panel, PipelineConfig(out_dir=str(tmp_path)),
+                  staged=True)
+        assert os.listdir(tmp_path) == ["panel.csv"]
 
 
 def test_export_refuses_label_utf8_cannot_encode(tmp_path):

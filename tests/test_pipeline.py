@@ -28,7 +28,7 @@ from multitar.netfilter import (
     hard_threshold_filter,
     polya_filter,
 )
-from multitar.panel import export_panel, ingest_csv
+from multitar.panel import export_panel, ingest_csv, read_panel
 from multitar.pipeline import (
     GRAPHML_NS,
     PipelineConfig,
@@ -868,8 +868,8 @@ def _tree(root):
 
 class TestStageDriver:
     # the files only the staged commands write
-    STAGED_ONLY = {"panel.csv", "network_full.csv", "fracdiff.json", "fit.json",
-                   "filter.json"}
+    STAGED_ONLY = {"panel.csv", "panel.csv.cube", "differenced.csv.cube",
+                   "network_full.csv", "fracdiff.json", "fit.json", "filter.json"}
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6),
@@ -909,6 +909,25 @@ class TestStageDriver:
             assert staged[name] == full[name], name
         for stage in ("fracdiff", "fit", "filter"):
             assert json.loads(staged[f"{stage}.json"]) == manifest[stage]
+
+    def test_staged_cubes_are_byte_identical_across_runs(self, small_panel,
+                                                          tmp_path):
+        raw = tmp_path / "raw.csv"
+        export_panel(small_panel[0], raw)
+        cubes = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["ingest", "--input", str(raw), "--out", str(out)]) == 0
+            assert main(["fracdiff", "--panel", str(out / "panel.csv"),
+                         "--alpha", "0.3", "--out", str(out)]) == 0
+            cubes.append([(out / name).read_bytes()
+                          for name in ("panel.csv.cube", "differenced.csv.cube")])
+        assert cubes[0] == cubes[1]
+        differenced = read_panel(tmp_path / "first" / "differenced.csv")
+        want = ingest_csv(tmp_path / "first" / "differenced.csv")
+        assert (differenced.dates, differenced.entities, differenced.layers) == (
+            want.dates, want.entities, want.layers)
+        assert differenced.values.tobytes() == want.values.tobytes()
 
     def test_failed_build_network_makes_no_out_dir(self, tmp_path, capsys):
         model = tmp_path / "model"
@@ -956,6 +975,37 @@ class TestCli:
         assert rc == 0
         panel = ingest_csv(out)
         assert panel.values.shape == (40, 3, 2)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag,name", [("--entities", "n_entities"),
+                                           ("--layers", "n_layers"),
+                                           ("--steps", "n_steps")])
+    def test_synth_refuses_size_below_one_by_name(self, flag, name, value,
+                                                  tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--output", str(out), flag, value]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [synth] {name} must be >= 1, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_entities,n_layers,first", [
+        (101, 2, ("E000", "price")), (3, 101, ("E00", "L000")),
+        (11, 11, ("E00", "L00"))])
+    def test_synth_labels_stay_sorted_through_ingest(self, n_entities, n_layers,
+                                                     first, tmp_path):
+        # axis i of the cube (and of B_star) is still entity i after ingest
+        panel, _ = generate_tar_panel(n_entities=n_entities, n_layers=n_layers,
+                                      n_steps=3)
+        assert (panel.entities[0], panel.layers[0]) == first
+        export_panel(panel, tmp_path / "synth.csv")
+        back = ingest_csv(tmp_path / "synth.csv")
+        assert (back.entities, back.layers) == (panel.entities, panel.layers)
+        assert back.values.tobytes() == panel.values.tobytes()
+
+    def test_synth_labels_up_to_100_keep_their_bytes(self):
+        panel, _ = generate_tar_panel(n_entities=100, n_layers=5, n_steps=3)
+        assert panel.entities == tuple(f"E{i:02d}" for i in range(100))
+        assert panel.layers == tuple(f"L{j:02d}" for j in range(5))
 
     @pytest.mark.parametrize("flag,line", [
         (["--out", "elsewhere"], "out_dir = elsewhere"),
