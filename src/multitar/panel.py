@@ -279,6 +279,8 @@ def write_cube(panel: PanelSeries, path) -> None:
 def read_panel(path, on_missing: str = "reject") -> PanelSeries:
     """:func:`ingest_csv` of ``path``, loaded from the cube beside it while the
     CSV's sha256 is the one the cube records; a cube not used is logged."""
+    if on_missing not in ("reject", "ffill"):  # ingest_csv raises, before any cube
+        return ingest_csv(path, on_missing)
     try:
         with open(str(path) + CUBE, "rb") as fh:
             head = json.loads(fh.readline())

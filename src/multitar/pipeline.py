@@ -257,9 +257,8 @@ def fit_model(panel: PanelSeries, config: PipelineConfig):
     n_train = int(n_pairs * config.train_fraction)
     info = {
         "lambda": model.ridge,
-        # strict JSON has no NaN: an unscored lambda's R2 is null
-        "r2_table": [[lam, None if math.isnan(table[lam]) else table[lam]]
-                     for lam in config.lambda_grid],
+        "r2_table": [[lam, None if isinstance(r2, str) else r2] for lam, r2 in table.items()],
+        "unscored": [[lam, r2] for lam, r2 in table.items() if isinstance(r2, str)],
         "ranks": list(model.coefficient.ranks),
         "n_train": n_train,
         "n_test": n_pairs - n_train,

@@ -10,23 +10,22 @@ Fitting minimizes ``||Y - A - <X, B>||_F^2 + ridge * ||B||_F^2``; the
 intercept is handled by mean-centering, and the penalty acts on the
 reconstructed ``B``, not on the individual Tucker blocks.
 
-Fits run on ``[R_x | R_y]``, the R factor of the centered ``[Xc | Yc]``
-(at most ``p + q`` rows): it has the same Gram matrices and the same residual
-norms ``||R_y - R_x B|| = ||Yc - Xc B||``, so no fit step grows with T.  The
-lambda grid factors its training split once for all of its fits, and every
-solve comes from ``numpy.linalg``, so a fit runs on numpy's BLAS alone.
-At full Tucker rank the model is the unstructured ridge VAR on the unfoldings,
-with identity factors, and one SVD ``R_x = U diag(s) V'`` fits a whole grid:
-``B = V diag(s / (s^2 + ridge)) U'R_y``.  Below full rank that B seeds each
-factor with the leading singular vectors of its unfolding, and each ALS sweep
-then updates the core and every factor in mode order.  Each update is a few
-matrix products on the Kronecker form, with the factor being updated set to an
-identity, and is the exact minimizer of the penalized objective in that block
-with the others held fixed, so the objective trace is non-increasing.  The
-grid runs one ALS for all of its weights: the core, the factors and every
-update carry a leading axis, one slice per weight, and a weight leaves the
-sweeps when it converges.  Each product is formed per slice as for one fit, so
-a grid fit equals the standalone :func:`als_fit` bit for bit.
+Fits run on ``[R_x | R_y]``, the R factor of the centered ``[Xc | Yc]`` (at
+most ``p + q`` rows), which has the same Gram matrices and residual norms, so
+no fit step grows with T; a grid factors its training split once, and every
+solve comes from ``numpy.linalg``.  At full Tucker rank the model is the ridge
+VAR on the unfoldings, with identity factors, and one SVD ``R_x = U diag(s) V'``
+fits the whole grid: ``B = V diag(s / (s^2 + ridge)) U'R_y``.  Below full rank
+that B seeds each factor with the leading singular vectors of its unfolding,
+and each ALS sweep updates the core, then every factor in mode order, each by
+the exact minimizer of the penalized objective in its block (a few matrix
+products on the Kronecker form), so the objective trace is non-increasing.
+The grid runs one ALS for all of its weights, with a leading axis on the core,
+the factors and every update; each product is formed per slice as for one
+fit, so a grid fit equals the standalone :func:`als_fit` bit for bit.  A
+weight leaves the sweeps when it converges or its fit fails.  Only a weight
+of 0 can meet singular normal equations, and the others then rerun that sweep
+without it, so a failing weight is one unscored row of the grid.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ import numpy as np
 from .tensor_ops import TuckerFactors, as_tensor, unfold
 
 logger = logging.getLogger(__name__)
+_SINGULAR = "singular normal equations in {} with lambda = 0; raise lambda to regularize"
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -76,6 +76,8 @@ class FitConfig:
             raise ValueError("lambda_grid is empty")
         if not all(0.0 <= v < math.inf for v in grid):
             raise ValueError("lambda_grid values must be finite and >= 0")
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"lambda_grid repeats {[v for v in grid if grid.count(v) > 1][0]}")
         object.__setattr__(self, "lambda_grid", grid)
 
 
@@ -209,20 +211,18 @@ def _split(x, y) -> _Split:
 def _solve_spd(a, rhs, context, ridge):
     """Solve a symmetric PSD system from a penalized least-squares block.
 
-    A system whose eigenvalues span more than 1e13 is singular.  With
-    ``ridge == 0`` that is an error (the caller must raise lambda).  With
-    ``ridge > 0`` a singular ALS block has flat directions, where its penalty
-    ``ridge * W'W`` is singular too; its normal equations are still
-    consistent, so the minimum-norm solution is returned, as a Cholesky solve
-    would take large steps along the flat directions, whose rounding can raise
-    the objective.  An identity penalty keeps every eigenvalue at or above
-    ``ridge``, so the minimum-norm solution also needs the smallest below
-    ``ridge / 2``: a ridge solve on badly scaled data stays a Cholesky solve.
-    ``trace(a) * trace(a^-1)`` bounds the spread from above; it costs the
-    inverse of the Cholesky factor, which then gives the solution.  ``a`` may
-    be a stack of systems, with ``rhs`` and ``ridge`` stacked alike; a matrix
-    whose bound trips is then solved on its own, and so is every matrix when
-    numpy's stacked Cholesky fails on one, as it does not say which.
+    A system whose eigenvalues span more than 1e13 is singular: an error at
+    ``ridge == 0``, which fails that weight's fit.  At ``ridge > 0`` a singular
+    ALS block has flat directions, where its penalty ``ridge * W'W`` is singular
+    too, but its normal equations are consistent, so it gets the minimum-norm
+    solution: a Cholesky solve's large, rounded steps along the flat directions
+    can raise the objective.  An identity penalty keeps every eigenvalue at or
+    above ``ridge``, so that path also needs the smallest below ``ridge / 2``.
+    ``trace(a) * trace(a^-1)`` bounds the spread from above, at the cost of the
+    Cholesky factor's inverse, which gives the solution.  For a stack of systems
+    (``rhs`` and ``ridge`` stacked alike), a matrix whose bound trips is solved
+    on its own, and so is every matrix when numpy's stacked Cholesky fails on
+    one, as it does not say which.
     """
     try:
         inv = np.linalg.inv(np.linalg.cholesky(a))  # a = l l', inv = l^-1
@@ -238,8 +238,7 @@ def _solve_spd(a, rhs, context, ridge):
         eig = None if failed else np.linalg.eigvalsh(a)
         if failed or eig[0] <= 1e-13 * eig[-1]:
             if ridge == 0.0:
-                raise SingularSystemError(f"singular normal equations in {context} "
-                                          "with lambda = 0; raise lambda to regularize")
+                raise SingularSystemError(_SINGULAR.format(context))
             if failed or eig[0] < 0.5 * ridge:
                 return np.linalg.lstsq(a, rhs, rcond=1e-13)[0]
     return out
@@ -366,9 +365,9 @@ def _model(split, ridge, core, b, factors, trace, converged):
 
 def _als_sweeps(split, ranks, factors, ridge, config):
     """ALS for every weight in ``ridge`` at once, slice i of the stacked
-    ``factors`` for ``ridge[i]``: each sweep updates the core, then every
-    factor in mode order, of the fits still running.  A fit stops when it
-    converges or reaches ``max_sweeps``; ``(TarModel, FitReport)`` per weight."""
+    ``factors`` for ``ridge[i]``: each sweep updates the core, then every factor
+    in mode order, of the fits still running, until each converges, reaches
+    ``max_sweeps`` or fails; ``(TarModel, FitReport)`` or its error, per weight."""
     r_x, r_y, n_reg = split.r_x, split.r_y, split.x_mean.ndim
     xc = r_x.reshape((-1,) + split.x_mean.shape)
     yc = r_y.reshape((-1,) + split.y_mean.shape)
@@ -376,34 +375,39 @@ def _als_sweeps(split, ranks, factors, ridge, config):
     grams = [_mode_gram(xc, d) for d in range(n_reg)]
     out, traces, run = [None] * len(ridge), [[] for _ in ridge], list(range(len(ridge)))
     while run:
-        lam = ridge[run]
-        core = _update_core(xc, yc, ranks, factors, n_reg, lam)
-        for d in range(n_reg):
-            factors[d] = _update_regressor_factor(xc, yc, core, factors, d, lam,
-                                                  grams[d])
-        for d in range(n_reg, len(ranks)):
-            factors[d] = _update_response_factor(xc, yc, core, factors, d, lam)
-        b = _partial(core, factors, n_reg)
-        obj = _objective(r_x, r_y, b, lam)
-        if not np.all(np.isfinite(obj)):
-            raise SingularSystemError("ALS objective diverged; the problem is "
-                                      "ill-posed, raise lambda")
-        for j, i in enumerate(run):
-            trace = traces[i]
-            trace.append(float(obj[j]))
-            converged = len(trace) > 1 and (abs(trace[-2] - trace[-1]) <= config.rel_tol
-                                            * max(abs(trace[-2]), floor))
-            if converged or len(trace) == config.max_sweeps:
-                out[i] = _model(split, ridge[i], core[j], b[j], [f[j] for f in factors],
-                                trace, converged)
+        lam, start = ridge[run], list(factors)
+        try:
+            core = _update_core(xc, yc, ranks, factors, n_reg, lam)
+            for d in range(n_reg):
+                factors[d] = _update_regressor_factor(xc, yc, core, factors, d, lam,
+                                                      grams[d])
+            for d in range(n_reg, len(ranks)):
+                factors[d] = _update_response_factor(xc, yc, core, factors, d, lam)
+        except SingularSystemError as exc:  # raised only by the weight 0
+            out[run[int(np.flatnonzero(lam == 0.0)[0])]] = exc
+            factors = start  # the others rerun this sweep without it
+        else:
+            b = _partial(core, factors, n_reg)
+            obj = _objective(r_x, r_y, b, lam)
+            for j, i in enumerate(run):
+                trace = traces[i]
+                trace.append(float(obj[j]))
+                converged = len(trace) > 1 and (
+                    abs(trace[-2] - trace[-1]) <= config.rel_tol * max(abs(trace[-2]), floor))
+                if not math.isfinite(trace[-1]):
+                    out[i] = SingularSystemError("ALS objective diverged; the problem "
+                                                 "is ill-posed, raise lambda")
+                elif converged or len(trace) == config.max_sweeps:
+                    out[i] = _model(split, ridge[i], core[j], b[j],
+                                    [f[j] for f in factors], trace, converged)
         keep = [j for j, i in enumerate(run) if out[i] is None]
         run, factors = [run[j] for j in keep], [f[keep] for f in factors]
     return out
 
 
 def _fit_grid(split, ranks, grid, config):
-    """Yield ``(TarModel, FitReport)`` for each ridge weight in ``grid``, in
-    order; a weight whose fit fails raises its error in its turn."""
+    """``(TarModel, FitReport)`` for each ridge weight in ``grid``, in order,
+    or the ``LinAlgError`` that weight's fit raised."""
     dims = split.x_mean.shape + split.y_mean.shape
     ranks = resolve_ranks(ranks, dims)
     # every weight's full-rank B; lambda 0 is singular where s^2 spans over 1e13
@@ -411,30 +415,16 @@ def _fit_grid(split, ranks, grid, config):
     u, sv, vt = np.linalg.svd(split.r_x[:p], full_matrices=False)
     uty = u.T @ split.r_y[:p]
     singular = sv.size < p or sv[-1] ** 2 <= 1e-13 * sv[0] ** 2
-    seeds = []
-    for lam in grid:
-        b = None if lam == 0.0 and singular else (
-            vt.T @ ((sv / (sv * sv + lam))[:, None] * uty)).reshape(dims)
-        if ranks == dims:
-            if b is None:
-                raise SingularSystemError("singular normal equations in ridge solve "
-                                          "with lambda = 0; raise lambda to regularize")
-            yield _model(split, lam, b, b, [np.eye(d) for d in dims],
-                         _objective(split.r_x, split.r_y, b, lam).tolist(), True)
-        seeds.append(b)
+    seeds = [None if lam == 0.0 and singular else
+             (vt.T @ ((sv / (sv * sv + lam))[:, None] * uty)).reshape(dims) for lam in grid]
     if ranks == dims:
-        return
+        return [SingularSystemError(_SINGULAR.format("ridge solve")) if b is None else
+                _model(split, lam, b, b, [np.eye(d) for d in dims],
+                       _objective(split.r_x, split.r_y, b, lam).tolist(), True)
+                for lam, b in zip(grid, seeds)]
     factors = zip(*(_init_factors(b, dims, ranks, config.seed) for b in seeds))
-    try:
-        fits = _als_sweeps(split, ranks, [np.stack(f) for f in factors],
-                           np.array(grid, dtype=float), config)
-    except np.linalg.LinAlgError:
-        if len(grid) == 1:
-            raise
-        # a fit failed: refit one weight at a time, so that the earliest
-        # weight to fail raises its own error in its turn
-        fits = (fit for lam in grid for fit in _fit_grid(split, ranks, (lam,), config))
-    yield from fits
+    return _als_sweeps(split, ranks, [np.stack(f) for f in factors],
+                       np.array(grid, dtype=float), config)
 
 
 def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
@@ -444,12 +434,14 @@ def als_fit(x, y, ranks, ridge: float, config: FitConfig | None = None):
     one rank per coefficient mode: the non-sample modes of ``x``, then those
     of ``y``.  ``ridge`` is the nonnegative weight on ``||B||_F^2``.  This is
     :func:`fit_lambda_grid`'s fit for a grid of one weight.  Returns
-    ``(TarModel, FitReport)``.
+    ``(TarModel, FitReport)``; a fit that fails raises its error.
     """
-    split = _split(x, y)
     if not 0.0 <= ridge < math.inf:
         raise ValueError("ridge must be finite and >= 0")
-    return next(_fit_grid(split, ranks, (ridge,), config or FitConfig()))
+    [fit] = _fit_grid(_split(x, y), ranks, (ridge,), config or FitConfig())
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def predict(model: TarModel, x) -> np.ndarray:
@@ -484,7 +476,10 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
     The first ``train_fraction`` of lagged sample pairs trains a model per
     grid value; the remainder scores it by out-of-sample R2.  Returns
     ``(model, report, table)`` for the highest R2, ties going to the smaller
-    lambda, with ``report.predicted_r2`` set; ``table`` maps lambda to R2.
+    lambda, with ``report.predicted_r2`` set.  ``table`` maps each lambda to
+    its R2, or to why it is unscored: the text of the ``LinAlgError`` its fit
+    raised, or ``"predicted R2 is NaN"``.  Unscored lambdas are logged; the
+    grid fails only when no lambda is scored.
     """
     config = config or FitConfig()
     x, y = build_lagged_pairs(panel, lag)
@@ -493,24 +488,28 @@ def fit_lambda_grid(panel, ranks, config: FitConfig | None = None, lag: int = 1)
     if n_train < 1 or n_train >= n:
         raise ValueError(f"train_fraction {config.train_fraction} leaves an "
                          f"empty split for {n} samples")
-    x_tr, y_tr = x[:n_train], y[:n_train]
-    x_te, y_te = x[n_train:], y[n_train:]
 
     table, fits = {}, {}
-    grid = _fit_grid(_split(x_tr, y_tr), ranks, config.lambda_grid, config)
-    for lam, (model, report) in zip(config.lambda_grid, grid):
-        table[lam] = predicted_r2(model, x_te, y_te)
-        fits[lam] = model, replace(report, predicted_r2=table[lam])
+    grid = _fit_grid(_split(x[:n_train], y[:n_train]), ranks, config.lambda_grid, config)
+    for lam, fit in zip(config.lambda_grid, grid):
+        if isinstance(fit, Exception):
+            table[lam] = str(fit)
+            continue
+        r2 = predicted_r2(fit[0], x[n_train:], y[n_train:])
+        table[lam] = "predicted R2 is NaN" if math.isnan(r2) else r2
+        fits[lam] = fit[0], replace(fit[1], predicted_r2=r2)
     unconverged = [lam for lam, (_, report) in fits.items() if not report.converged]
     if unconverged:
         logger.warning("ALS stopped at max_sweeps=%d without converging for "
                        "lambda %s", config.max_sweeps, unconverged)
-    scored = [lam for lam, r2 in table.items() if not math.isnan(r2)]
+    missing = {lam: r2 for lam, r2 in table.items() if isinstance(r2, str)}
+    text = "; ".join(f"lambda {[lam for lam in missing if missing[lam] == reason]} "
+                     f"left unscored: {reason}" for reason in dict.fromkeys(missing.values()))
+    scored = [lam for lam in fits if lam not in missing]
     if not scored:
-        raise ValueError(f"predicted R2 is NaN for every lambda in lambda_grid "
-                         f"{list(config.lambda_grid)}")
-    if len(scored) < len(table):
-        logger.warning("lambda %s left unscored: predicted R2 is NaN",
-                       [lam for lam in table if lam not in scored])
+        raise ValueError(f"no lambda in lambda_grid {list(config.lambda_grid)} "
+                         f"is scored: {text}")
+    if missing:
+        logger.warning("%s", text)
     model, report = fits[max(scored, key=lambda lam: (table[lam], -lam))]
     return model, report, table

@@ -394,6 +394,18 @@ class TestCube:
         assert [r.levelno for r in log] == (
             [] if case == "missing-cube" else [logging.INFO])
 
+    def test_bad_on_missing_fails_with_or_without_a_cube(self, tmp_path):
+        # the cube would load a complete panel, but the value is checked first
+        panel = PanelSeries(dates=["2020-01-01"], entities=["a"], layers=["x"],
+                            values=np.ones((1, 1, 1)))
+        path = _staged_ingest(panel, str(tmp_path))
+        errors = []
+        for read in (ingest_csv, read_panel):
+            with pytest.raises(ValueError) as err:
+                read(path, on_missing="bogus")
+            errors.append(str(err.value))
+        assert errors == ["on_missing must be 'reject' or 'ffill'"] * 2
+
     def test_panel_with_unsorted_entities_gets_no_cube(self, tmp_path):
         panel = PanelSeries(dates=["d"], entities=["b", "a"], layers=["x"],
                             values=np.ones((1, 2, 1)))

@@ -61,6 +61,12 @@ def small_panel():
     return panel, b_star
 
 
+@pytest.fixture(scope="module")
+def short_panel():
+    """30 entities x 4 layers x 100 steps: more regressors than training pairs."""
+    return generate_tar_panel(n_entities=30, n_layers=4, n_steps=100, seed=3)[0]
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     return PipelineConfig(alpha=0.3, lambda_grid=(0.0, 5.0),
@@ -125,6 +131,19 @@ class TestConfig:
         f.write_bytes(data)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{f}:2: {fault}')}"):
             PipelineConfig.from_file(f)
+
+    def test_repeated_lambda_rejected_by_name(self, tmp_path, capsys):
+        # a repeated weight would be fitted twice and listed twice in r2_table
+        with pytest.raises(ValueError, match=r"^lambda_grid repeats 5\.0$"):
+            PipelineConfig(lambda_grid=(1.0, 5.0, 20.0, 5.0))
+        f = tmp_path / "bad.conf"
+        f.write_text("alpha = 0.3\nlambda_grid = 0, 1, 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:2: lambda_grid repeats 0.0")):
+            PipelineConfig.from_file(f)
+        assert main(["pipeline", "--input", "x.csv", "--lambda", "5,5",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "lambda_grid repeats 5.0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_component_invariants_delegated(self):
         with pytest.raises(ValueError):
@@ -428,6 +447,38 @@ class TestRunPipeline:
         assert main(["fit", "--panel", str(tmp_path / "panel.csv"), "--out",
                      str(staged), "--lambda", "0,5"]) == 0
         assert strict(staged / "fit.json")["r2_table"][0] == [0.0, None]
+
+    def test_singular_lambda_is_an_unscored_row(self, short_panel, tmp_path):
+        # 120 regressors and 89 training pairs: lambda = 0 is singular, and
+        # the other five weights are fitted and scored as on their own
+        reason = ("singular normal equations in ridge solve with lambda = 0; "
+                  "raise lambda to regularize")
+        cfg = PipelineConfig(alpha=0.3, out_dir=str(tmp_path / "run"))
+        fit = run_pipeline(cfg, short_panel)["fit"]
+        assert fit["lambda"] == 20.0
+        assert fit["r2_table"][0] == [0.0, None]
+        assert fit["unscored"] == [[0.0, reason]]
+        alone = run_pipeline(dataclasses.replace(
+            cfg, lambda_grid=cfg.lambda_grid[1:], out_dir=str(tmp_path / "alone")),
+            short_panel)["fit"]
+        assert fit["r2_table"][1:] == alone["r2_table"] and alone["unscored"] == []
+        export_panel(short_panel, tmp_path / "panel.csv")
+        staged = tmp_path / "staged"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["ingest", "--input", str(tmp_path / "panel.csv")],
+                         ["fracdiff", "--panel", str(staged / "panel.csv")],
+                         ["fit", "--panel", str(staged / "differenced.csv")]):
+                assert main(argv + ["--alpha", "0.3", "--out", str(staged)]) == 0
+        assert json.loads((staged / "fit.json").read_text()) == fit
+
+    def test_grid_with_no_scored_lambda_fails_naming_each(self, short_panel,
+                                                          tmp_path):
+        cfg = PipelineConfig(alpha=0.3, lambda_grid=(0.0,),
+                             out_dir=str(tmp_path / "x"))
+        with pytest.raises(PipelineError, match=re.escape(
+                "[fit] no lambda in lambda_grid [0.0] is scored: lambda [0.0] left "
+                "unscored: singular normal equations in ridge solve with lambda = 0")):
+            run_pipeline(cfg, short_panel)
 
     def test_degenerate_ranks_fail_fit_stage(self, small_panel, tmp_path):
         # dims (5, 2, 5, 2): rank 4 of mode 0 exceeds 1 * 2 * 1

@@ -684,7 +684,7 @@ class TestSelectLambda:
                                               FitConfig(lambda_grid=(0.0, 1.0)))
         assert [r.getMessage() for r in caplog.records] == [
             "lambda [0.0] left unscored: predicted R2 is NaN"]
-        assert model.ridge == 1.0 and math.isnan(table[0.0])
+        assert model.ridge == 1.0 and table[0.0] == "predicted R2 is NaN"
 
     def test_unconverged_fits_are_logged_once(self, caplog):
         panel = np.random.default_rng(24).standard_normal((80, 3, 2))
@@ -764,13 +764,19 @@ class TestBatchedGrid:
     @example(dims=(3, 3), steps=17, rank_draws=[0.75, 0.25, 1.0, 0.5],
              others=[50.0, 0.1, 5.0], zero_at=3, max_sweeps=18, rel_tol=1e-3,
              seed=623)
-    # the batch raises at lambda = 0, the last weight, after the other two
+    # lambda = 0, the last weight, fails after the other two
     @example(dims=(3, 3), steps=6, rank_draws=[1.0, 0.5, 0.5, 0.0],
              others=[50.0, 1.0], zero_at=3, max_sweeps=26, rel_tol=1e-6, seed=35)
+    # lambda = 0 fails in the factor 1 update, after factor 0 was updated, so
+    # the two other weights must rerun that sweep from its start
+    @example(dims=(4, 2), steps=12, rank_draws=[0.0, 1.0, 0.0, 1.0],
+             others=[1.0, 50.0], zero_at=1, max_sweeps=38, rel_tol=1e-6,
+             seed=2095112085)
     def test_grid_fits_equal_standalone_fits(self, dims, steps, rank_draws, others,
                                              zero_at, max_sweeps, rel_tol, seed):
         # lambda = 0 is in every grid, so a singular seed takes random factors
-        # or a fit fails; the weights stop at different sweeps
+        # or a fit fails; the weights stop at different sweeps, and a failing
+        # weight leaves the others' fits as they are alone
         rng = np.random.default_rng(seed)
         i, j = dims
         ranks = tuple(1 + int(u * (d - 1) + 0.5)
@@ -790,15 +796,37 @@ class TestBatchedGrid:
             try:
                 alone.append(als_fit(x[:n_train], y[:n_train], ranks, lam, config))
             except np.linalg.LinAlgError as exc:
-                with pytest.raises(type(exc)) as err:
-                    fit_lambda_grid(np.concatenate([x[:1], y]), ranks, config)
-                assert str(err.value) == str(exc)
-                return
+                alone.append(exc)
         split = regression._split(x[:n_train], y[:n_train])
         fits = list(regression._fit_grid(split, ranks, grid, config))
         assert len(fits) == len(grid)
         for fit, want in zip(fits, alone):
-            assert_same_fit(fit, want)
+            if isinstance(want, Exception):
+                assert type(fit) is type(want) and str(fit) == str(want)
+            else:
+                assert_same_fit(fit, want)
+        # a failing weight's reason in the table is its standalone error's text
+        failed = {lam: str(want) for lam, want in zip(grid, alone)
+                  if isinstance(want, Exception)}
+        if failed and len(failed) < len(grid):
+            table = fit_lambda_grid(np.concatenate([x[:1], y]), ranks, config)[2]
+            assert {lam: table[lam] for lam in failed} == failed
+
+    def test_diverging_weight_fails_alone(self, monkeypatch):
+        # a non-finite objective fails its own weight, not the whole grid
+        real = regression._objective
+        monkeypatch.setattr(regression, "_objective", lambda r_x, r_y, b, ridge: np.where(
+            np.asarray(ridge) == 1.0, np.nan, real(r_x, r_y, b, ridge)))
+        x, y = build_lagged_pairs(np.random.default_rng(27).standard_normal((80, 3, 2)), 1)
+        ranks, config = (2, 2, 2, 2), FitConfig(max_sweeps=5, lambda_grid=(0.0, 1.0, 20.0))
+        fits = regression._fit_grid(regression._split(x, y), ranks, config.lambda_grid,
+                                    config)
+        with pytest.raises(SingularSystemError, match="ALS objective diverged") as err:
+            als_fit(x, y, ranks, 1.0, config)
+        assert type(fits[1]) is SingularSystemError and str(fits[1]) == str(err.value)
+        for lam in (0.0, 20.0):
+            assert_same_fit(fits[config.lambda_grid.index(lam)],
+                            als_fit(x, y, ranks, lam, config))
 
 
 def _spd(seed, n, rank, low):
