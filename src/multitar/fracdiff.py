@@ -210,6 +210,16 @@ def _adf_screen(diff, n_lags: int, level: float) -> np.ndarray:
                         stat, np.nan)
 
 
+def check_alpha_grid(alpha_grid) -> tuple:
+    """``alpha_grid`` as floats; fails unless nonempty and strictly ascending in [0, 1]."""
+    grid = tuple(float(a) for a in alpha_grid)
+    if not (grid and 0 <= grid[0] and grid[-1] <= 1
+            and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ValueError("alpha_grid must be nonempty and strictly ascending "
+                         f"within [0, 1], got {list(grid)}")
+    return grid
+
+
 def find_min_alpha(columns, alpha_grid, level: float = 0.05,
                    n_lags: int | None = None) -> float:
     """Smallest grid order that makes every column of a panel stationary.
@@ -236,11 +246,7 @@ def find_min_alpha(columns, alpha_grid, level: float = 0.05,
         raise ValueError("columns must be a (T, n_series) array")
     if not np.all(np.isfinite(panel)):
         raise ValueError("panel contains NaN or Inf")
-    grid = [float(a) for a in alpha_grid]
-    if not grid:
-        raise ValueError("alpha_grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha_grid must be strictly ascending")
+    grid = check_alpha_grid(alpha_grid)
     if level not in ADF_CRITICAL_VALUES:
         raise ValueError(f"level must be one of {sorted(ADF_CRITICAL_VALUES)}")
     t = panel.shape[0]

@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 CSV_HEADER = ["date", "entity", "layer", "value"]
 _BLOCK = 8192  # characters a CSV reader takes at a time, then to a line end
 CUBE = ".cube"  # suffix of the binary cube written beside a panel CSV
-_CUBE_FORMAT = "multitar-cube 1"
+_CUBE_FORMAT = "multitar-cube 2"
 
 
 def csv_field(label: str) -> str:
@@ -265,20 +265,23 @@ def _sha256(path) -> str:
 
 def write_cube(panel: PanelSeries, path) -> None:
     """Write at ``path`` the cube of the CSV :func:`export_panel` wrote at
-    ``path`` less :data:`CUBE`: a JSON line (format tag, CSV sha256, labels),
-    then little-endian doubles in C order; none if a parse would sort an axis."""
+    ``path`` less :data:`CUBE`: a JSON line (format tag, sha256 of the CSV and
+    of the payload, labels), then the payload, little-endian doubles in C
+    order; none if a parse would sort an axis."""
     if any(list(axis) != sorted(axis) for axis in (panel.entities, panel.layers)):
         return
+    payload = np.ascontiguousarray(panel.values, "<f8")
     head = {"format": _CUBE_FORMAT, "sha256": _sha256(str(path).removesuffix(CUBE)),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
             "dates": panel.dates, "entities": panel.entities, "layers": panel.layers}
     with open(path, "wb") as fh:
         fh.write(json.dumps(head, sort_keys=True, ensure_ascii=True).encode() + b"\n")
-        panel.values.astype("<f8", copy=False).tofile(fh)
+        payload.tofile(fh)
 
 
 def read_panel(path, on_missing: str = "reject") -> PanelSeries:
     """:func:`ingest_csv` of ``path``, loaded from the cube beside it while the
-    CSV's sha256 is the one the cube records; a cube not used is logged."""
+    digests it records match the CSV and the payload; a cube not used is logged."""
     if on_missing not in ("reject", "ffill"):  # ingest_csv raises, before any cube
         return ingest_csv(path, on_missing)
     try:
@@ -287,8 +290,9 @@ def read_panel(path, on_missing: str = "reject") -> PanelSeries:
             labels = [head[axis] for axis in ("dates", "entities", "layers")]
             values = np.empty(tuple(map(len, labels)), "<f8")
             if (head["format"] != _CUBE_FORMAT or head["sha256"] != _sha256(path)
-                    or fh.readinto(values) != values.nbytes or fh.read(1)):
-                raise ValueError("its format tag, CSV digest or length does not match")
+                    or fh.readinto(values) != values.nbytes or fh.read(1)
+                    or hashlib.sha256(values).hexdigest() != head["payload_sha256"]):
+                raise ValueError("its format tag, a digest or its length does not match")
             return PanelSeries(*labels, values)
     except (OSError, ValueError, KeyError, TypeError) as error:
         if not isinstance(error, FileNotFoundError):  # no cube, or no CSV

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from . import multinet
-from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, default_adf_lags,
-                       find_min_alpha, fracdiff_apply)
+from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, check_alpha_grid,
+                       default_adf_lags, find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
 from .panel import (CUBE, PanelSeries, _check_labels, _read_long_csv, csv_field,
                     export_panel, write_cube)
@@ -110,8 +110,7 @@ class PipelineConfig(FitConfig):
             raise ValueError("log_epsilon must be finite and >= 0")
         if self.missing_policy not in ("reject", "ffill"):
             raise ValueError("missing_policy must be 'reject' or 'ffill'")
-        object.__setattr__(self, "alpha_grid",
-                           tuple(float(v) for v in self.alpha_grid))
+        object.__setattr__(self, "alpha_grid", check_alpha_grid(self.alpha_grid))
         object.__setattr__(self, "ranks", check_ranks(self.ranks))
 
     @classmethod
@@ -316,14 +315,11 @@ def export_network(net: MultilayerNetwork, path, fmt: str = "csv") -> str:
     :func:`import_network`; ``graphml`` and ``dot`` describe the filtered
     graph for external renderers, with node strength/coreness attached.
     """
-    writers = {"graphml": _write_graphml, "dot": _write_dot}
-    if fmt == "csv":
-        _write_network_csv(net, str(path))
-    elif fmt in writers:
-        writers[fmt](net, str(path), multinet.node_strength(net),
-                     multinet.k_coreness(net))
-    else:
+    writers = {"csv": _write_network_csv, "graphml": _write_graphml, "dot": _write_dot}
+    if fmt not in writers:
         raise ValueError(f"unknown format {fmt!r}")
+    measures = () if fmt == "csv" else (multinet.node_strength(net), multinet.k_coreness(net))
+    writers[fmt](net, str(path), *measures)
     return str(path)
 
 
@@ -383,21 +379,21 @@ def _parse_kept(text: str) -> bool:
     return text == "true"
 
 
-def _node_id(entity: str, layer: str) -> str:
-    """``entity|layer`` with ``\\`` and ``|`` backslash-escaped in each label,
-    so that no two (entity, layer) pairs share an id."""
-    return "|".join(s.replace("\\", "\\\\").replace("|", "\\|")
-                    for s in (entity, layer))
+def _node_ids(net: MultilayerNetwork) -> list:
+    """Each node's id, ``entity|layer`` with ``\\`` and ``|`` backslash-escaped
+    in each label so that no two nodes share one, in (entity, layer) C order."""
+    entities, layers = ([s.replace("\\", "\\\\").replace("|", "\\|") for s in labels]
+                        for labels in (net.entity_labels, net.layer_labels))
+    return [f"{e}|{l}" for e, l in itertools.product(entities, layers)]
 
 
-def _kept_edges(net: MultilayerNetwork):
+def _kept_edges(net: MultilayerNetwork, ids: list):
     """``(source id, target id, weight, p-value)`` of each kept edge, in the
-    block order of the edge CSV."""
-    ent, lay, kept = net.entity_labels, net.layer_labels, net.kept
-    for j, l, i, k, w, p in zip(*(a.tolist() for a in np.nonzero(kept)),
-                                net.blocks[kept].tolist(),
-                                net.p_values[kept].tolist()):
-        yield _node_id(ent[i], lay[j]), _node_id(ent[k], lay[l]), w, p
+    block order of the edge CSV; ``ids`` is the writer's node id table."""
+    j, l, i, k = np.nonzero(net.kept)
+    src, dst = ([ids[n] for n in (e * net.n_layers + lay).tolist()]
+                for e, lay in ((i, j), (k, l)))
+    return zip(src, dst, net.blocks[net.kept].tolist(), net.p_values[net.kept].tolist())
 
 
 def _graphml_data(key: str, text: str) -> str:
@@ -407,20 +403,19 @@ def _graphml_data(key: str, text: str) -> str:
             else f'      <data key="{key}" />')
 
 
-def _write_graphml(net: MultilayerNetwork, path: str, strength,
-                   coreness) -> None:
+def _write_graphml(net: MultilayerNetwork, path: str, strength, coreness) -> None:
+    ids = [node.translate(_XML_ATTR) for node in _node_ids(net)]
     lines = [_GRAPHML_HEAD]
     nodes = itertools.product(net.entity_labels, net.layer_labels)
-    for (entity, layer), s, c in zip(nodes, strength.ravel().tolist(),
-                                     coreness.ravel().tolist()):
-        lines += [f'    <node id="{_node_id(entity, layer).translate(_XML_ATTR)}">',
+    for node, (entity, layer), s, c in zip(ids, nodes, strength.ravel().tolist(),
+                                           coreness.ravel().tolist()):
+        lines += [f'    <node id="{node}">',
                   _graphml_data("d_entity", entity),
                   _graphml_data("d_layer", layer),
                   f'      <data key="d_strength">{_fmt(s)}</data>',
                   f'      <data key="d_coreness">{int(c)}</data>', "    </node>"]
-    for src, dst, w, p in _kept_edges(net):
-        lines += [f'    <edge source="{src.translate(_XML_ATTR)}" '
-                  f'target="{dst.translate(_XML_ATTR)}">',
+    for src, dst, w, p in _kept_edges(net, ids):
+        lines += [f'    <edge source="{src}" target="{dst}">',
                   f'      <data key="d_weight">{_fmt(w)}</data>',
                   f'      <data key="d_pvalue">{_fmt(p)}</data>', "    </edge>"]
     lines += ["  </graph>", "</graphml>"]
@@ -433,16 +428,16 @@ def _dot_quote(s: str) -> str:
 
 
 def _write_dot(net: MultilayerNetwork, path: str, strength, coreness) -> None:
+    ids = [_dot_quote(node) for node in _node_ids(net)]
     lines = ["digraph multilayer {"]
     for j, (layer, strengths, cores) in enumerate(zip(
             net.layer_labels, strength.T.tolist(), coreness.T.tolist())):
         lines += [f"  subgraph cluster_{j} {{", f"    label={_dot_quote(layer)};"]
-        for entity, s, c in zip(net.entity_labels, strengths, cores):
-            lines.append(f"    {_dot_quote(_node_id(entity, layer))} "
-                         f"[strength={_fmt(s)}, coreness={int(c)}];")
+        lines += [f"    {node} [strength={_fmt(s)}, coreness={int(c)}];"
+                  for node, s, c in zip(ids[j::net.n_layers], strengths, cores)]
         lines.append("  }")
-    for src, dst, w, _ in _kept_edges(net):
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [weight={_fmt(w)}];")
+    for src, dst, w, _ in _kept_edges(net, ids):
+        lines.append(f"  {src} -> {dst} [weight={_fmt(w)}];")
     lines.append("}")
     _write_lines(path, lines)
 

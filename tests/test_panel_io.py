@@ -25,6 +25,7 @@ from multitar.panel import (CSV_HEADER, PanelSeries, csv_field, export_panel,
                             ingest_csv, read_panel)
 from multitar.pipeline import (NETWORK_HEADER, PipelineConfig, export_network,
                                import_network, run_stage)
+from multitar.synthetic import generate_tar_panel
 
 # The label alphabet of the round trips: any text XML 1.0 can carry, so no C0
 # control other than tab, LF and CR, no lone surrogate, no U+FFFE or U+FFFF.
@@ -355,8 +356,11 @@ _SPOIL = {
     "trailing-byte": lambda path, cube: _spoil_bytes(cube, lambda b: b + b"\0"),
     "junk-cube": lambda path, cube: _spoil_bytes(
         cube, lambda b: b"not a cube \x00\xff" * 64),
+    # the tag of the cubes that recorded no payload digest
     "wrong-format-tag": lambda path, cube: _spoil_bytes(cube, lambda b: b.replace(
-        b'"multitar-cube 1"', b'"multitar-cube 0"', 1)),
+        b'"multitar-cube 2"', b'"multitar-cube 1"', 1)),
+    "flipped-payload-bit": lambda path, cube: _spoil_bytes(
+        cube, lambda b: b[:-1] + bytes([b[-1] ^ 1])),
     "missing-cube": lambda path, cube: os.remove(cube),
 }
 
@@ -393,6 +397,25 @@ class TestCube:
         # one INFO line names a cube that is there but not used
         assert [r.levelno for r in log] == (
             [] if case == "missing-cube" else [logging.INFO])
+
+    @pytest.mark.parametrize("name", ["panel.csv", "differenced.csv"])
+    def test_flipped_payload_bit_in_a_staged_cube_falls_back(self, name, tmp_path):
+        # an exponent bit of the last double: the length and the CSV digest
+        # still match
+        raw, out = str(tmp_path / "raw.csv"), str(tmp_path / "out")
+        export_panel(generate_tar_panel(n_entities=4, n_layers=3, n_steps=200,
+                                        seed=3)[0], raw)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", "--input", raw, "--out", out]) == 0
+            assert main(["fracdiff", "--panel", os.path.join(out, "panel.csv"),
+                         "--alpha", "0.3", "--out", out]) == 0
+        path = os.path.join(out, name)
+        _SPOIL["flipped-payload-bit"](path, path + ".cube")
+        with _panel_log() as log:
+            got = read_panel(path)
+        _assert_same_panel(got, ingest_csv(path))
+        assert [r.levelno for r in log] == [logging.INFO]
+        assert "digest" in log[0].getMessage()
 
     def test_bad_on_missing_fails_with_or_without_a_cube(self, tmp_path):
         # the cube would load a complete panel, but the value is checked first

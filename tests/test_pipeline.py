@@ -145,7 +145,23 @@ class TestConfig:
         assert "lambda_grid repeats 5.0" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text,grid", [
+        ("2, 3", (2.0, 3.0)), ("0.3, 0.1", (0.3, 0.1)), ("nan", (float("nan"),)),
+        ("-1", (-1.0,)), ("0, nan, 0.5", (0.0, float("nan"), 0.5)),
+    ])
+    def test_bad_alpha_grid_rejected_at_load(self, tmp_path, text, grid):
+        # with a fixed alpha the grid is never searched, so only the load sees it
+        fault = "alpha_grid must be nonempty and strictly ascending within [0, 1], got "
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}"):
+            PipelineConfig(alpha_grid=grid)
+        f = tmp_path / "bad.conf"
+        f.write_text(f"alpha = 0.3\nalpha_grid = {text}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}:2: {fault}')}"):
+            PipelineConfig.from_file(f)
+
     def test_component_invariants_delegated(self):
+        with pytest.raises(ValueError, match="^alpha_grid must be nonempty"):
+            PipelineConfig(alpha_grid=())
         with pytest.raises(ValueError):
             PipelineConfig(retain_fraction=0.0)
         with pytest.raises(ValueError):
@@ -733,19 +749,22 @@ class TestExports:
     @example(entities=["", "a\rb", "c\nd", "e\tf"], layers=["&<>\"'", "|\\"],
              retain=0.3)
     def test_graphml_bytes_equal_elementtree(self, entities, layers, retain):
-        n_e, n_l = len(entities), len(layers)
-        rng = np.random.default_rng(n_e * 10 + n_l)
-        net = from_coefficient(rng.standard_normal((n_e, n_l, n_e, n_l)),
-                               entities, layers)
-        if retain is not None:
-            net = apply_filter(net, retain_fraction=retain)
-        strength, coreness = multinet.node_strength(net), multinet.k_coreness(net)
-        with tempfile.TemporaryDirectory() as tmp:
-            got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
-            pipeline_module._write_graphml(net, got, strength, coreness)
-            _elementtree_graphml(net, want, strength, coreness)
-            with open(got, "rb") as g, open(want, "rb") as w:
-                assert g.read() == w.read()
+        _assert_writer_bytes(pipeline_module._write_graphml, _elementtree_graphml,
+                             entities, layers, retain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entities=st.lists(st.text(_XML_LABEL_CHARS, max_size=6),
+                          min_size=1, max_size=3, unique=True),
+        layers=st.lists(st.text(_XML_LABEL_CHARS, max_size=6),
+                        min_size=1, max_size=3, unique=True),
+        retain=st.sampled_from([None, 0.3]),  # None: every edge kept
+    )
+    @example(entities=["", "a\rb", "c\nd", "e\tf"], layers=["&<>\"'", "|\\"],
+             retain=0.3)
+    def test_dot_bytes_equal_reference(self, entities, layers, retain):
+        _assert_writer_bytes(pipeline_module._write_dot, _reference_dot,
+                             entities, layers, retain)
 
     @pytest.mark.parametrize("label", ["a\x01", "\x0b", "x\x1f", "\ufffe",
                                        "b\uffff", "c\ud800"])
@@ -1349,10 +1368,54 @@ def _dot_node_labels(path):
             for i in ids]
 
 
+def _assert_writer_bytes(write, reference, entities, layers, retain):
+    """``write`` and ``reference`` give the same bytes for a random network on
+    the labels, filtered at ``retain`` (None: every edge kept)."""
+    n_e, n_l = len(entities), len(layers)
+    rng = np.random.default_rng(n_e * 10 + n_l)
+    net = from_coefficient(rng.standard_normal((n_e, n_l, n_e, n_l)),
+                           entities, layers)
+    if retain is not None:
+        net = apply_filter(net, retain_fraction=retain)
+    strength, coreness = multinet.node_strength(net), multinet.k_coreness(net)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+        write(net, got, strength, coreness)
+        reference(net, want, strength, coreness)
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
+
+
+def _node_id(entity, layer):
+    """The exports' node id rule, kept here for the reference writers:
+    ``entity|layer`` with ``\\`` and ``|`` backslash-escaped in each label."""
+    return "|".join(s.replace("\\", "\\\\").replace("|", "\\|")
+                    for s in (entity, layer))
+
+
+def _reference_dot(net, path, strength, coreness):
+    """The DOT writer built edge by edge, each edge's ids formed and quoted
+    from its labels: the reference for the writer's bytes."""
+    quote = lambda s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    lines = ["digraph multilayer {"]
+    for j, layer in enumerate(net.layer_labels):
+        lines += [f"  subgraph cluster_{j} {{", f"    label={quote(layer)};"]
+        for i, entity in enumerate(net.entity_labels):
+            lines.append(f"    {quote(_node_id(entity, layer))} [strength="
+                         f"{'%.17g' % strength[i, j]}, coreness={int(coreness[i, j])}];")
+        lines.append("  }")
+    for j, l, i, k in zip(*np.nonzero(net.kept)):
+        src = _node_id(net.entity_labels[i], net.layer_labels[j])
+        dst = _node_id(net.entity_labels[k], net.layer_labels[l])
+        lines.append(f"  {quote(src)} -> {quote(dst)} "
+                     f"[weight={'%.17g' % net.blocks[j, l, i, k]}];")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n}\n")
+
+
 def _elementtree_graphml(net, path, strength, coreness):
     """The GraphML writer as it was built on ElementTree: the reference for
     the text writer's bytes."""
-    node_id = pipeline_module._node_id
     ET.register_namespace("", GRAPHML_NS)
     root = ET.Element(f"{{{GRAPHML_NS}}}graphml")
     root.set("{http://www.w3.org/2001/XMLSchema-instance}schemaLocation",
@@ -1377,7 +1440,7 @@ def _elementtree_graphml(net, path, strength, coreness):
     for i, entity in enumerate(net.entity_labels):
         for j, layer in enumerate(net.layer_labels):
             node = ET.SubElement(graph, f"{{{GRAPHML_NS}}}node")
-            node.set("id", node_id(entity, layer))
+            node.set("id", _node_id(entity, layer))
             for key_id, text in (
                 ("d_entity", entity),
                 ("d_layer", layer),
@@ -1389,8 +1452,8 @@ def _elementtree_graphml(net, path, strength, coreness):
                 data.text = text
     for j, l, i, k in zip(*np.nonzero(net.kept)):
         edge = ET.SubElement(graph, f"{{{GRAPHML_NS}}}edge")
-        edge.set("source", node_id(net.entity_labels[i], net.layer_labels[j]))
-        edge.set("target", node_id(net.entity_labels[k], net.layer_labels[l]))
+        edge.set("source", _node_id(net.entity_labels[i], net.layer_labels[j]))
+        edge.set("target", _node_id(net.entity_labels[k], net.layer_labels[l]))
         for key_id, value in (("d_weight", net.blocks[j, l, i, k]),
                               ("d_pvalue", net.p_values[j, l, i, k])):
             data = ET.SubElement(edge, f"{{{GRAPHML_NS}}}data")
