@@ -52,6 +52,6 @@ from .regression import (
     predicted_r2,
 )
 from .synthetic import generate_arfima_panel, generate_tar_panel
-from .tensor_ops import TuckerFactors, unfold
+from .tensor_ops import unfold
 
 __version__ = "0.1.0"

@@ -16,7 +16,9 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+import shutil
+import tempfile
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -258,7 +260,7 @@ def fit_model(panel: PanelSeries, config: PipelineConfig):
         "lambda": model.ridge,
         "r2_table": [[lam, None if isinstance(r2, str) else r2] for lam, r2 in table.items()],
         "unscored": [[lam, r2] for lam, r2 in table.items() if isinstance(r2, str)],
-        "ranks": list(model.coefficient.ranks),
+        "ranks": list(model.core.shape),
         "n_train": n_train,
         "n_test": n_pairs - n_train,
         "n_sweeps": report.n_sweeps,
@@ -590,27 +592,46 @@ def run_stage(name: str, data, config: PipelineConfig, staged: bool = False):
 def run_pipeline(config: PipelineConfig, panel: PanelSeries) -> dict:
     """Run every row of :data:`STAGES`, writing all artifacts under
     ``config.out_dir``; returns the manifest (also ``manifest.json``).
+    The run is built in a temporary sibling of ``out_dir``, which replaces an
+    earlier ``out_dir`` whole only once every stage has succeeded, so a failed
+    run leaves ``out_dir`` as it was.  An ``out_dir`` that is neither an empty
+    directory nor an earlier run's (with ``manifest.json``) is refused first.
     Any stage failure is re-raised as a stage-tagged :class:`PipelineError`.
     """
-    data, info = panel, {}
-    for name in STAGES:
-        data, info[name] = run_stage(name, data, config)
-    manifest = {
-        "config": config.resolved(),
-        "panel": {
-            "n_dates": panel.n_dates,
-            "n_entities": len(panel.entities),
-            "n_layers": len(panel.layers),
-            "first_date": panel.dates[0],
-            "last_date": panel.dates[-1],
-            "entities": list(panel.entities),
-            "layers": list(panel.layers),
-        },
-        "fracdiff": info["fracdiff"],
-        "fit": info["fit"],
-        "filter": info["filter"],
-        "measures": {"overlap_normalized": config.overlap_normalized},
-        "outputs": dict(OUTPUTS),
-    }
-    _write_json(manifest, os.path.join(config.out_dir, "manifest.json"))
+    out_dir = config.out_dir
+    if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and (
+            not os.listdir(out_dir) or os.path.isfile(os.path.join(out_dir, "manifest.json")))):
+        raise ValueError(f"refusing to replace {out_dir}: it is neither an empty "
+                         "directory nor an earlier run's (no manifest.json)")
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    work = tempfile.mkdtemp(prefix=".multitar-", dir=parent)
+    try:
+        run = replace(config, out_dir=os.path.join(work, "new"))
+        data, info = panel, {}
+        for name in STAGES:
+            data, info[name] = run_stage(name, data, run)
+        manifest = {
+            "config": config.resolved(),
+            "panel": {
+                "n_dates": panel.n_dates,
+                "n_entities": len(panel.entities),
+                "n_layers": len(panel.layers),
+                "first_date": panel.dates[0],
+                "last_date": panel.dates[-1],
+                "entities": list(panel.entities),
+                "layers": list(panel.layers),
+            },
+            "fracdiff": info["fracdiff"],
+            "fit": info["fit"],
+            "filter": info["filter"],
+            "measures": {"overlap_normalized": config.overlap_normalized},
+            "outputs": dict(OUTPUTS),
+        }
+        _write_json(manifest, os.path.join(run.out_dir, "manifest.json"))
+        if os.path.lexists(out_dir):
+            os.rename(out_dir, os.path.join(work, "old"))
+        os.rename(run.out_dir, out_dir)
+    finally:
+        shutil.rmtree(work)
     return manifest

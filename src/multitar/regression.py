@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .tensor_ops import TuckerFactors, as_tensor, unfold
+from .tensor_ops import as_tensor, unfold
 
 logger = logging.getLogger(__name__)
 _SINGULAR = "singular normal equations in {} with lambda = 0; raise lambda to regularize"
@@ -95,23 +95,38 @@ class FitReport:
 class TarModel:
     """Fitted tensor autoregression.
 
-    ``coefficient`` reconstructs to shape ``(*regressor_dims, *response_dims)``;
-    ``intercept`` has a leading broadcast mode of extent 1.  The training
-    means are kept so out-of-sample R2 can center against the training set.
+    The coefficient is the Tucker tensor ``core x_d factors[d]``, of shape
+    ``(*regressor_dims, *response_dims)``: factor ``d`` is ``(I_d, R_d)`` for
+    core extent ``R_d``.  ``intercept`` has a leading broadcast mode of extent
+    1; the training means are kept so out-of-sample R2 can center on them.
     """
 
     intercept: np.ndarray
-    coefficient: TuckerFactors
+    core: np.ndarray
+    factors: tuple
     ridge: float
     x_mean: np.ndarray
     y_mean: np.ndarray
     b: np.ndarray | None = None  # the fit's B; reconstructed once when None
 
     def __post_init__(self):
+        core = as_tensor(self.core)
+        factors = tuple(np.asarray(f, dtype=np.float64) for f in self.factors)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "factors", factors)
+        if len(factors) != core.ndim:
+            raise ValueError(f"need one factor per core mode: {len(factors)} factors "
+                             f"for order-{core.ndim} core")
+        for d, f in enumerate(factors):
+            if f.ndim != 2:
+                raise ValueError(f"factor {d} is not a matrix")
+            if f.shape[1] != core.shape[d]:
+                raise ValueError(f"factor {d} has {f.shape[1]} columns but core mode "
+                                 f"{d} has extent {core.shape[d]}")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be finite and >= 0")
         nx = self.x_mean.ndim
-        shape = self.coefficient.shape
+        shape = tuple(f.shape[0] for f in factors)
         if shape[:nx] != self.x_mean.shape or shape[nx:] != self.y_mean.shape:
             raise ValueError(
                 f"coefficient shape {shape} does not match regressor dims "
@@ -120,8 +135,7 @@ class TarModel:
         if self.intercept.shape != (1,) + self.y_mean.shape:
             raise ValueError("intercept must have shape (1, *response_dims)")
         if self.b is None:
-            object.__setattr__(self, "b", _partial(self.coefficient.core,
-                                                   self.coefficient.factors, nx))
+            object.__setattr__(self, "b", _partial(core, factors, nx))
         self.b.flags.writeable = False
 
     def coefficient_tensor(self) -> np.ndarray:
@@ -153,12 +167,16 @@ def _integer(value, name: str) -> int:
 
 
 def check_ranks(ranks):
-    """``"full"``, or the ranks as a tuple of ``int``; fails naming a bad one."""
+    """``"full"``, or the ranks as a tuple of ``int`` >= 1; fails naming a bad one."""
     if isinstance(ranks, str):
         if ranks != "full":
             raise ValueError(f"unknown rank specification {ranks!r}")
         return ranks
-    return tuple(_integer(r, f"rank {r!r}") for r in ranks)
+    ranks = tuple(_integer(r, f"rank {r!r}") for r in ranks)
+    for r in ranks:
+        if r < 1:
+            raise ValueError(f"rank {r} must be >= 1")
+    return ranks
 
 
 def resolve_ranks(ranks, dims) -> tuple:
@@ -170,7 +188,7 @@ def resolve_ranks(ranks, dims) -> tuple:
     if len(ranks) != len(dims):
         raise ValueError(f"need {len(dims)} ranks, got {len(ranks)}")
     for r, d in zip(ranks, dims):
-        if not 1 <= r <= d:
+        if r > d:
             raise ValueError(f"rank {r} outside [1, {d}]")
     # Below full rank, a mode whose rank exceeds the product of the others has
     # singular factor normal equations, and the objective trace can rise.
@@ -358,8 +376,8 @@ def _objective(r_x, r_y, b, ridge):
 def _model(split, ridge, core, b, factors, trace, converged):
     intercept = split.y_mean[None] - np.tensordot(split.x_mean[None], b,
                                                   axes=split.x_mean.ndim)
-    return (TarModel(intercept, TuckerFactors(core, tuple(factors)), float(ridge),
-                     split.x_mean, split.y_mean, b),
+    return (TarModel(intercept, core, tuple(factors), float(ridge), split.x_mean,
+                     split.y_mean, b),
             FitReport(tuple(trace), converged, len(trace)))
 
 

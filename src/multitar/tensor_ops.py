@@ -1,4 +1,4 @@
-"""Dense tensor algebra: coercion, unfolding and the Tucker container.
+"""Dense tensor algebra: coercion and unfolding.
 
 All tensors are ``numpy.float64`` arrays stored in C order (row major, last
 mode varies fastest).  ``unfold(T, m)`` moves mode ``m`` to the front and
@@ -7,8 +7,6 @@ function in this module is pure and never mutates its inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,43 +35,3 @@ def unfold(tensor: np.ndarray, mode: int, lead: int = 0) -> np.ndarray:
         raise ValueError(f"mode {mode} out of range for order-{order} tensor")
     return np.moveaxis(tensor, lead + mode, lead).reshape(
         tensor.shape[:lead] + (tensor.shape[lead + mode], -1))
-
-
-@dataclass(frozen=True)
-class TuckerFactors:
-    """Tucker representation: a core tensor plus one factor matrix per mode.
-
-    Factor ``d`` has shape ``(I_d, R_d)`` where ``R_d`` is the core extent at
-    mode ``d``; the represented tensor has shape ``(I_1, ..., I_D)``.
-    """
-
-    core: np.ndarray
-    factors: tuple = ()
-
-    def __post_init__(self):
-        core = as_tensor(self.core)
-        factors = tuple(np.asarray(f, dtype=np.float64) for f in self.factors)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "factors", factors)
-        if len(factors) != core.ndim:
-            raise ValueError(
-                f"need one factor per core mode: {len(factors)} factors for "
-                f"order-{core.ndim} core"
-            )
-        for d, f in enumerate(factors):
-            if f.ndim != 2:
-                raise ValueError(f"factor {d} is not a matrix")
-            if f.shape[1] != core.shape[d]:
-                raise ValueError(
-                    f"factor {d} has {f.shape[1]} columns but core mode {d} "
-                    f"has extent {core.shape[d]}"
-                )
-
-    @property
-    def shape(self) -> tuple:
-        """Shape of the reconstructed tensor."""
-        return tuple(f.shape[0] for f in self.factors)
-
-    @property
-    def ranks(self) -> tuple:
-        return self.core.shape

@@ -159,6 +159,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{f}:2: {fault}')}"):
             PipelineConfig.from_file(f)
 
+    @pytest.mark.parametrize("text,ranks", [("0, 2, 0, 2", (0, 2, 0, 2)),
+                                            ("-1, 2, 3, 2", (-1, 2, 3, 2))])
+    def test_rank_below_one_rejected_at_load(self, tmp_path, capsys, text, ranks):
+        # the upper bound needs the panel's dims, so it waits for the fit
+        fault = f"rank {ranks[0]} must be >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            PipelineConfig(ranks=ranks)
+        f = tmp_path / "bad.conf"
+        f.write_text(f"alpha = 0.3\nranks = {text}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}:2: {fault}')}$"):
+            PipelineConfig.from_file(f)
+        assert main(["pipeline", "--input", "x.csv", "--config", str(f),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"{f}:2: {fault}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            regression.als_fit(rng.standard_normal((40, 3, 2)),
+                               rng.standard_normal((40, 3, 2)), ranks, 1.0)
+
     def test_component_invariants_delegated(self):
         with pytest.raises(ValueError, match="^alpha_grid must be nonempty"):
             PipelineConfig(alpha_grid=())
@@ -341,6 +361,43 @@ class TestRunPipeline:
         assert net.kept.sum() == np.array(
             run_pipeline(small_config, panel)["filter"]["total_kept"])
 
+    def test_failed_rerun_leaves_the_earlier_run(self, small_panel, small_config,
+                                                 monkeypatch):
+        panel, _ = small_panel
+        run_pipeline(small_config, panel)
+        out = pathlib.Path(small_config.out_dir)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def failing(net, config):
+            raise RuntimeError("injected")
+
+        # a rerun at another alpha that fails in its last stage
+        monkeypatch.setattr(pipeline_module, "compute_measures", failing)
+        with pytest.raises(PipelineError, match=r"^\[measure\] injected$"):
+            run_pipeline(dataclasses.replace(small_config, alpha=0.2), panel)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert [p.name for p in out.parent.iterdir()] == [out.name]
+
+    def test_refuses_an_out_dir_that_is_not_a_run(self, small_panel, small_config):
+        # the swap deletes the out_dir it replaces, so only an empty directory
+        # or an earlier run (one holding manifest.json) is replaced
+        panel, _ = small_panel
+        out = pathlib.Path(small_config.out_dir)
+        out.mkdir()
+        run_pipeline(small_config, panel)
+        (out / "manifest.json").unlink()
+        (out / "notes.txt").write_text("mine", encoding="utf-8")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        with pytest.raises(ValueError, match=f"^refusing to replace {re.escape(str(out))}: "):
+            run_pipeline(small_config, panel)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        shutil.rmtree(out)
+        out.write_text("mine", encoding="utf-8")  # so is a file
+        with pytest.raises(ValueError, match="^refusing to replace "):
+            run_pipeline(small_config, panel)
+        assert out.read_text(encoding="utf-8") == "mine"
+        assert [p.name for p in out.parent.iterdir()] == [out.name]
+
     def test_nonpositive_values_fail_log_stage(self, small_panel, tmp_path):
         panel, _ = small_panel
         values = panel.values.copy()
@@ -495,6 +552,7 @@ class TestRunPipeline:
                 "[fit] no lambda in lambda_grid [0.0] is scored: lambda [0.0] left "
                 "unscored: singular normal equations in ridge solve with lambda = 0")):
             run_pipeline(cfg, short_panel)
+        assert list(tmp_path.iterdir()) == []  # no out_dir and no temporary directory
 
     def test_degenerate_ranks_fail_fit_stage(self, small_panel, tmp_path):
         # dims (5, 2, 5, 2): rank 4 of mode 0 exceeds 1 * 2 * 1

@@ -15,6 +15,7 @@ from multitar import regression
 from multitar.regression import (
     FitConfig,
     SingularSystemError,
+    TarModel,
     _partial,
     _solve_spd,
     _update_core,
@@ -30,7 +31,6 @@ from multitar.regression import (
 )
 from multitar.pipeline import PipelineConfig
 from multitar.synthetic import generate_tar_panel
-from multitar.tensor_ops import TuckerFactors
 
 
 def mode_product(t, u, d):
@@ -205,7 +205,7 @@ class TestAlsFit:
         y = (np.tensordot(x, b_star, axes=([1, 2], [0, 1]))
              + 0.01 * rng.standard_normal((500, 5, 3)))
         model, report = als_fit(x, y, ranks, 0.0, FitConfig(seed=31))
-        for fitted, truth in zip(model.coefficient.factors, factors):
+        for fitted, truth in zip(model.factors, factors):
             angles = scipy.linalg.subspace_angles(fitted, truth)
             assert np.degrees(angles.max()) < 5.0
         assert is_non_increasing(report.objective_trace)
@@ -222,8 +222,7 @@ class TestAlsFit:
         np.testing.assert_array_equal(model.intercept, expected)
         # at full rank the factors are identities and B is the core itself
         full, _ = als_fit(x, y, "full", 1.0)
-        np.testing.assert_array_equal(full.coefficient_tensor(),
-                                      full.coefficient.core)
+        np.testing.assert_array_equal(full.coefficient_tensor(), full.core)
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(6)
@@ -521,17 +520,27 @@ class TestAlsFit:
         assert resolve_ranks("full", (1, 3)) == (1, 3)
 
 
+class TestTarModel:
+    def test_shape_and_ranks_come_from_core_and_factors(self):
+        # the coefficient has the factors' row counts, the ranks are the core's
+        model = TarModel(intercept=np.zeros((1, 4)), core=np.ones((2, 3)),
+                         factors=(np.ones((5, 2)), np.ones((4, 3))), ridge=0.0,
+                         x_mean=np.zeros(5), y_mean=np.zeros(4))
+        assert model.coefficient_tensor().shape == (5, 4)
+        assert model.core.shape == (2, 3)
+        np.testing.assert_array_equal(model.coefficient_tensor(), np.full((5, 4), 6.0))
+
+
 class TestPredict:
     def test_zero_coefficient_predicts_intercept(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((11, 3, 2))
         core = np.zeros((3, 2, 2, 2))
         factors = (np.eye(3), np.eye(2), np.eye(2), np.eye(2))
-        from multitar.regression import TarModel
-
         model = TarModel(
             intercept=np.full((1, 2, 2), 3.25),
-            coefficient=TuckerFactors(core, factors),
+            core=core,
+            factors=factors,
             ridge=0.0,
             x_mean=np.zeros((3, 2)),
             y_mean=np.full((2, 2), 3.25),
@@ -543,12 +552,10 @@ class TestPredict:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((7, 3, 2))
         delta = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(2))
-        from multitar.regression import TarModel
-
         model = TarModel(
             intercept=np.zeros((1, 3, 2)),
-            coefficient=TuckerFactors(delta, (np.eye(3), np.eye(2),
-                                              np.eye(3), np.eye(2))),
+            core=delta,
+            factors=(np.eye(3), np.eye(2), np.eye(3), np.eye(2)),
             ridge=0.0,
             x_mean=np.zeros((3, 2)),
             y_mean=np.zeros((3, 2)),
@@ -590,12 +597,11 @@ class TestPredictedR2:
 
     def test_mean_prediction_gives_zero(self):
         # a zero-coefficient model predicts the stored training mean
-        from multitar.regression import TarModel
-
         y_mean = np.array([[1.0, -2.0]])[0]
         model = TarModel(
             intercept=y_mean[None].copy(),
-            coefficient=TuckerFactors(np.zeros((2, 2)), (np.eye(2), np.eye(2))),
+            core=np.zeros((2, 2)),
+            factors=(np.eye(2), np.eye(2)),
             ridge=0.0,
             x_mean=np.zeros(2),
             y_mean=y_mean,
@@ -741,8 +747,8 @@ def assert_same_fit(fit, want):
     for got, expected in [(model.intercept, alone.intercept),
                           (model.x_mean, alone.x_mean), (model.y_mean, alone.y_mean),
                           (model.coefficient_tensor(), alone.coefficient_tensor()),
-                          (model.coefficient.core, alone.coefficient.core),
-                          *zip(model.coefficient.factors, alone.coefficient.factors)]:
+                          (model.core, alone.core),
+                          *zip(model.factors, alone.factors)]:
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     assert model.ridge == alone.ridge
     assert report == alone_report

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multitar.regression import _partial
-from multitar.tensor_ops import TuckerFactors, unfold
+from multitar.tensor_ops import unfold
 
 
 def loop_unfold(tensor, mode):
@@ -47,22 +47,19 @@ class TestUnfoldFold:
 
 
 class TestTucker:
-    """Tucker factors, assembled by ``_partial`` as ``B = W_x G W_y'``."""
+    """A core and its factors, assembled by ``_partial`` as ``B = W_x G W_y'``."""
 
     def test_identity_factors_return_core(self):
         rng = np.random.default_rng(8)
         core = rng.standard_normal((2, 3, 2))
-        f = TuckerFactors(core, tuple(np.eye(r) for r in core.shape))
+        factors = tuple(np.eye(r) for r in core.shape)
         for n_reg in (1, 2):
-            np.testing.assert_array_equal(_partial(f.core, f.factors, n_reg), core)
+            np.testing.assert_array_equal(_partial(core, factors, n_reg), core)
 
     def test_rank1_outer_product(self):
-        f = TuckerFactors(
-            np.array([[2.0]]),
-            (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])),
-        )
+        factors = (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
         np.testing.assert_array_equal(
-            _partial(f.core, f.factors, 1), np.array([[6.0, 8.0], [12.0, 16.0]])
+            _partial(np.array([[2.0]]), factors, 1), np.array([[6.0, 8.0], [12.0, 16.0]])
         )
 
     def test_matches_loop_based_mode_products(self):
@@ -78,16 +75,3 @@ class TestTucker:
                         expected[i, j] += core[a, b] * u[i, a] * v[j, b]
         got = _partial(core, (u, v), 1)
         np.testing.assert_allclose(got, expected, rtol=1e-13)
-
-    def test_shape_and_rank_properties(self):
-        f = TuckerFactors(np.ones((2, 3)), (np.ones((5, 2)), np.ones((4, 3))))
-        assert f.shape == (5, 4)
-        assert f.ranks == (2, 3)
-
-    def test_factor_count_validation(self):
-        with pytest.raises(ValueError, match="one factor per core mode"):
-            TuckerFactors(np.ones((2, 2)), (np.ones((3, 2)),))
-
-    def test_factor_width_validation(self):
-        with pytest.raises(ValueError, match="columns"):
-            TuckerFactors(np.ones((2, 2)), (np.ones((3, 2)), np.ones((3, 3))))
