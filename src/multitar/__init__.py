@@ -9,7 +9,6 @@ overlap, node strength and k-coreness.
 
 from .fracdiff import (
     AdfResult,
-    FracDiffSpec,
     adf_test,
     find_min_alpha,
     fracdiff_apply,

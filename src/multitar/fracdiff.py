@@ -22,20 +22,6 @@ _SCREEN_MARGIN = 1e-6  # relative gap of a cleared t-ratio below the critical va
 
 
 @dataclass(frozen=True)
-class FracDiffSpec:
-    """Differencing order plus the truncation length of the weight filter."""
-
-    alpha: float
-    n_weights: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.n_weights < 1:
-            raise ValueError(f"n_weights must be >= 1, got {self.n_weights}")
-
-
-@dataclass(frozen=True)
 class AdfResult:
     """Outcome of an augmented Dickey-Fuller regression."""
 
@@ -82,15 +68,20 @@ def _causal_filter(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, n, axis=0) * w_hat, n, axis=0)[:t]
 
 
-def fracdiff_apply(series, spec: FracDiffSpec) -> np.ndarray:
-    """Apply the truncated fractional difference filter along axis 0.
+def fracdiff_apply(series, alpha: float, n_weights: int | None = None) -> np.ndarray:
+    """Apply the fractional difference filter of order ``alpha`` along axis 0.
 
     ``series`` is a ``(T, ...)`` array and every trailing position is
     filtered as its own series:
-    ``out[t] = sum_{k=0..min(t, n_weights-1)} w_k * series[t-k]``.  The FFT
-    path agrees with direct summation to within 1e-10 absolute error; the
-    exact sparse filters are used for integer orders.
+    ``out[t] = sum_{k=0..min(t, n_weights-1)} w_k * series[t-k]``, with all
+    ``T`` weights when ``n_weights`` is None.  The FFT path agrees with direct
+    summation to within 1e-10 absolute error; the exact sparse filters are
+    used for integer orders.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if n_weights is not None and n_weights < 1:
+        raise ValueError(f"n_weights must be >= 1, got {n_weights}")
     x = np.asarray(series, dtype=np.float64)
     if x.ndim == 0:
         raise ValueError("series must have a time axis")
@@ -99,15 +90,15 @@ def fracdiff_apply(series, spec: FracDiffSpec) -> np.ndarray:
         raise ValueError("series must have at least one observation")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains NaN or Inf")
-    n = min(spec.n_weights, t)
-    if spec.alpha == 0.0 or n == 1:
+    n = t if n_weights is None else min(n_weights, t)
+    if alpha == 0.0 or n == 1:
         return x.copy()  # w_0 = 1; later weights vanish (alpha 0) or are truncated
-    if spec.alpha == 1.0:
+    if alpha == 1.0:
         out = np.empty_like(x)
         out[0] = x[0]
         out[1:] = x[1:] - x[:-1]
         return out
-    return _causal_filter(x, _binomial_weights(spec.alpha, n))
+    return _causal_filter(x, _binomial_weights(alpha, n))
 
 
 def default_adf_lags(n_obs: int) -> int:
@@ -260,8 +251,7 @@ def find_min_alpha(columns, alpha_grid, level: float = 0.05,
                          f"n_lags = {lags} (need T > {2 * lags + 3}); no alpha can pass")
 
     for alpha in grid:
-        diff = fracdiff_apply(panel, FracDiffSpec(alpha=alpha,
-                                                  n_weights=panel.shape[0]))
+        diff = fracdiff_apply(panel, alpha)
         for j in np.flatnonzero(np.isnan(_adf_screen(diff, lags, level))):
             try:
                 result = adf_test(diff[:, j], n_lags, level)

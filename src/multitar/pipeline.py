@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import multinet
-from .fracdiff import (ADF_CRITICAL_VALUES, FracDiffSpec, check_alpha_grid,
+from .fracdiff import (ADF_CRITICAL_VALUES, check_alpha_grid,
                        default_adf_lags, find_min_alpha, fracdiff_apply)
 from .multinet import MultilayerNetwork
 from .panel import (CUBE, PanelSeries, _check_labels, _read_long_csv, csv_field,
@@ -221,7 +221,7 @@ def prepare_panel(panel: PanelSeries, config: PipelineConfig):
                                level=config.adf_level, n_lags=n_lags)
         source = "search"
 
-    diff = fracdiff_apply(values, FracDiffSpec(alpha=alpha, n_weights=t_len))
+    diff = fracdiff_apply(values, alpha)
 
     n_dropped = 0
     dates = panel.dates
@@ -594,11 +594,21 @@ def run_pipeline(config: PipelineConfig, panel: PanelSeries) -> dict:
     ``config.out_dir``; returns the manifest (also ``manifest.json``).
     The run is built in a temporary sibling of ``out_dir``, which replaces an
     earlier ``out_dir`` whole only once every stage has succeeded, so a failed
-    run leaves ``out_dir`` as it was.  An ``out_dir`` that is neither an empty
-    directory nor an earlier run's (with ``manifest.json``) is refused first.
+    run leaves ``out_dir`` as it was.  An ``out_dir`` that is the working
+    directory or one of its ancestors, or that is neither an empty directory
+    nor an earlier run's (with ``manifest.json``), is refused first.
     Any stage failure is re-raised as a stage-tagged :class:`PipelineError`.
     """
     out_dir = config.out_dir
+    real = os.path.realpath(out_dir)
+    try:
+        cwd = os.path.realpath(os.getcwd())
+    except FileNotFoundError:  # a deleted working directory lies under no out_dir
+        cwd = None
+    # renaming such a directory aside fails, or deletes the one the process runs in
+    if cwd and os.path.commonpath([real, cwd]) == real:
+        raise ValueError(f"refusing to replace {out_dir}: it is or holds the "
+                         "working directory")
     if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and (
             not os.listdir(out_dir) or os.path.isfile(os.path.join(out_dir, "manifest.json")))):
         raise ValueError(f"refusing to replace {out_dir}: it is neither an empty "

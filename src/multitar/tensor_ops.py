@@ -12,10 +12,9 @@ import numpy as np
 
 
 def as_tensor(data) -> np.ndarray:
-    """Coerce ``data`` to a C-contiguous float64 array with at least 1 mode."""
+    """Coerce ``data`` to a C-contiguous float64 array; a scalar becomes a
+    one-entry vector."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
-    if arr.ndim == 0:
-        raise ValueError("tensor must have at least one mode")
     if any(n < 1 for n in arr.shape):
         raise ValueError(f"every mode extent must be >= 1, got shape {arr.shape}")
     return arr

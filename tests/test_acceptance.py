@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from multitar.fracdiff import (
-    FracDiffSpec,
     adf_test,
     find_min_alpha,
     fracdiff_apply,
@@ -87,14 +86,14 @@ def test_c03_fracdiff_fft_equals_direct():
         t = lengths[i % 3]
         alpha = alphas[i % 5]
         series = rng.standard_normal(t)
-        fast = fracdiff_apply(series, FracDiffSpec(alpha, t))
+        fast = fracdiff_apply(series, alpha, n_weights=t)
         direct = np.convolve(series, fracdiff_weights(alpha, t))[:t]
         worst = max(worst, float(np.max(np.abs(fast - direct))))
     series = rng.standard_normal(1000)
     identity_exact = np.array_equal(
-        fracdiff_apply(series, FracDiffSpec(0.0, 1000)), series
+        fracdiff_apply(series, 0.0, n_weights=1000), series
     )
-    diff = fracdiff_apply(series, FracDiffSpec(1.0, 1000))
+    diff = fracdiff_apply(series, 1.0, n_weights=1000)
     first_diff_exact = (diff[0] == series[0]
                         and np.array_equal(diff[1:], np.diff(series)))
     report(3, worst < 1e-10 and identity_exact and first_diff_exact,
@@ -107,9 +106,9 @@ def test_c04_stationarity_search_on_long_memory_panel():
     start = time.perf_counter()
     panel = generate_arfima_panel(10, 2000, 0.15, seed=4)
     alpha = find_min_alpha(panel, (0.0, 0.1, 0.2, 0.3), level=0.05)
-    spec = FracDiffSpec(alpha, 2000)
     all_reject = all(
-        adf_test(fracdiff_apply(panel[:, j], spec), level=0.05).reject_unit_root
+        adf_test(fracdiff_apply(panel[:, j], alpha, n_weights=2000),
+                 level=0.05).reject_unit_root
         for j in range(panel.shape[1])
     )
     elapsed = time.perf_counter() - start

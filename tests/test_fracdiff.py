@@ -19,7 +19,6 @@ from multitar import fracdiff
 from multitar.fracdiff import (
     ADF_CRITICAL_VALUES,
     AdfResult,
-    FracDiffSpec,
     _adf_screen,
     adf_test,
     default_adf_lags,
@@ -95,16 +94,16 @@ class TestWeights:
 class TestApply:
     def test_alpha_zero_exact_identity(self):
         x = np.random.default_rng(0).standard_normal(257)
-        out = fracdiff_apply(x, FracDiffSpec(0.0, 257))
+        out = fracdiff_apply(x, 0.0, n_weights=257)
         np.testing.assert_array_equal(out, x)
 
     def test_alpha_one_first_differences(self):
-        out = fracdiff_apply([1.0, 2.0, 4.0], FracDiffSpec(1.0, 3))
+        out = fracdiff_apply([1.0, 2.0, 4.0], 1.0, n_weights=3)
         np.testing.assert_array_equal(out, [1.0, 1.0, 2.0])
 
     def test_fft_matches_direct_summation(self):
         x = np.random.default_rng(42).standard_normal(1024)
-        out = fracdiff_apply(x, FracDiffSpec(0.2, 1024))
+        out = fracdiff_apply(x, 0.2, n_weights=1024)
         np.testing.assert_allclose(out, direct_filter(x, 0.2), atol=1e-10)
 
     # 2T - 1 is 5-smooth for none of these T, so the transform is padded
@@ -114,28 +113,27 @@ class TestApply:
         x = np.random.default_rng(t).standard_normal((t, 3))
         for n_weights in (t, 37):
             w = fracdiff_weights(0.37, n_weights)
-            out = fracdiff_apply(x, FracDiffSpec(0.37, n_weights))
+            out = fracdiff_apply(x, 0.37, n_weights=n_weights)
             want = np.column_stack([fftconvolve(c, w)[:t] for c in x.T])
             np.testing.assert_array_equal(out, want)
 
     def test_truncated_weights_honored(self):
         x = np.random.default_rng(7).standard_normal(200)
-        out = fracdiff_apply(x, FracDiffSpec(0.3, 16))
+        out = fracdiff_apply(x, 0.3, n_weights=16)
         np.testing.assert_allclose(out, direct_filter(x, 0.3, 16), atol=1e-10)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((2, 512))
-        spec = FracDiffSpec(0.35, 512)
-        lhs = fracdiff_apply(2.5 * x - 1.1 * y, spec)
-        rhs = 2.5 * fracdiff_apply(x, spec) - 1.1 * fracdiff_apply(y, spec)
+        lhs = fracdiff_apply(2.5 * x - 1.1 * y, 0.35, n_weights=512)
+        rhs = (2.5 * fracdiff_apply(x, 0.35, n_weights=512)
+               - 1.1 * fracdiff_apply(y, 0.35, n_weights=512))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_alpha_then_complement_approximates_first_difference(self):
         x = np.cumsum(np.random.default_rng(9).standard_normal(4096))
-        spec_a = FracDiffSpec(0.3, 4096)
-        spec_b = FracDiffSpec(0.7, 4096)
-        composed = fracdiff_apply(fracdiff_apply(x, spec_a), spec_b)
+        composed = fracdiff_apply(fracdiff_apply(x, 0.3, n_weights=4096), 0.7,
+                                  n_weights=4096)
         exact = np.empty_like(x)
         exact[0] = x[0]
         exact[1:] = np.diff(x)
@@ -145,13 +143,13 @@ class TestApply:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
-            fracdiff_apply([1.0, np.nan], FracDiffSpec(0.2, 2))
+            fracdiff_apply([1.0, np.nan], 0.2, n_weights=2)
 
-    def test_spec_validation(self):
+    def test_argument_validation(self):
         with pytest.raises(ValueError):
-            FracDiffSpec(1.5, 10)
+            fracdiff_apply(np.zeros(10), 1.5, n_weights=10)
         with pytest.raises(ValueError):
-            FracDiffSpec(0.2, 0)
+            fracdiff_apply(np.zeros(10), 0.2, n_weights=0)
 
 
 def adf_oracle(x, n_lags):
@@ -291,7 +289,7 @@ def test_integrate_then_difference_is_identity():
 
     x = np.random.default_rng(14).standard_normal(600)
     z = fractional_integrate(x, 0.3)
-    back = fracdiff_apply(z, FracDiffSpec(0.3, 600))
+    back = fracdiff_apply(z, 0.3, n_weights=600)
     np.testing.assert_allclose(back, x, atol=1e-9)
 
 
@@ -303,7 +301,7 @@ def test_integrate_then_difference_is_identity_property(n, alpha, extra_weights,
     # any truncation at least the series length keeps every weight in reach
     x = np.random.default_rng(seed).standard_normal(n)
     z = fractional_integrate(x, alpha)
-    back = fracdiff_apply(z, FracDiffSpec(alpha, n + extra_weights))
+    back = fracdiff_apply(z, alpha, n_weights=n + extra_weights)
     np.testing.assert_allclose(back, x, atol=1e-9)
 
 
@@ -323,9 +321,9 @@ class TestTimeAxis:
                              [(0.0, 300), (0.3, 300), (1.0, 300), (0.3, 40)])
     def test_fracdiff_apply_equals_stacked_series(self, shape, alpha, n_weights):
         x = np.random.default_rng(21).standard_normal(shape)
-        spec = FracDiffSpec(alpha, n_weights)
         np.testing.assert_array_equal(
-            fracdiff_apply(x, spec), stacked(lambda c: fracdiff_apply(c, spec), x)
+            fracdiff_apply(x, alpha, n_weights=n_weights),
+            stacked(lambda c: fracdiff_apply(c, alpha, n_weights=n_weights), x),
         )
 
     @pytest.mark.parametrize("shape", [(300, 5), (300, 3, 4)])
@@ -348,7 +346,7 @@ class TestTimeAxis:
 
     def test_zero_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="time axis"):
-            fracdiff_apply(2.0, FracDiffSpec(0.3, 4))
+            fracdiff_apply(2.0, 0.3, n_weights=4)
         with pytest.raises(ValueError, match="time axis"):
             fractional_integrate(2.0, 0.3)
 
@@ -420,7 +418,7 @@ def test_screen_leaves_the_search_unchanged(case):
 def test_screen_clears_only_rejections_within_its_bound(case):
     panel, grid, level, n_lags = case
     for alpha in grid:
-        diff = fracdiff_apply(panel, FracDiffSpec(alpha, panel.shape[0]))
+        diff = fracdiff_apply(panel, alpha, n_weights=panel.shape[0])
         stats = _adf_screen(diff, n_lags, level)
         for j in np.flatnonzero(~np.isnan(stats)):
             result = adf_test(diff[:, j], n_lags, level)

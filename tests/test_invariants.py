@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multitar import multinet
-from multitar.fracdiff import adf_test
-from multitar.multinet import MultilayerNetwork
+from multitar.fracdiff import adf_test, find_min_alpha, fracdiff_apply
+from multitar.multinet import MultilayerNetwork, from_coefficient
 from multitar.panel import PanelSeries
 from multitar.pipeline import (
     PipelineConfig,
@@ -18,8 +18,18 @@ from multitar.pipeline import (
     fit_model,
     prepare_panel,
 )
-from multitar.regression import TarModel, fit_lambda_grid
-from multitar.synthetic import generate_tar_panel
+from multitar.regression import (
+    FitConfig,
+    TarModel,
+    closed_form_fit,
+    fit_lambda_grid,
+    predicted_r2,
+)
+from multitar.synthetic import (
+    fractional_integrate,
+    generate_tar_panel,
+    sparse_stable_coefficient,
+)
 
 
 def _run(panel, config):
@@ -66,6 +76,26 @@ def test_relabelling_entities_permutes_the_run(ranks, seed, perm):
     np.testing.assert_array_equal(coreness_p, coreness[perm])
 
 
+@pytest.mark.parametrize("ranks", ["full", (3, 2, 3, 2)])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), c=st.floats(1e-3, 1e3))
+@example(seed=3, c=7.3)
+@example(seed=0, c=1e-3)
+def test_a_constant_factor_drops_out_at_alpha_zero(ranks, seed, c):
+    # at alpha 0 the filter is the identity, so scaling the panel by c shifts
+    # each log series by log c, which the fit's centring removes; at alpha > 0
+    # the filter turns that shift into a trend
+    panel, _ = generate_tar_panel(n_entities=8, n_layers=3, n_steps=400, seed=seed)
+    scaled = PanelSeries(panel.dates, panel.entities, panel.layers, c * panel.values)
+    config = PipelineConfig(alpha=0.0, ranks=ranks, retain_fraction=0.2)
+    _, fit, b, net, _ = _run(panel, config)
+    _, fit_c, b_c, net_c, _ = _run(scaled, config)
+
+    assert (fit_c["lambda"], fit_c["n_sweeps"]) == (fit["lambda"], fit["n_sweeps"])
+    np.testing.assert_allclose(b_c, b, rtol=0, atol=1e-12 * np.abs(b).max())
+    np.testing.assert_array_equal(net_c.kept, net.kept)
+
+
 def _tar_model(**changes):
     """A valid 2 x 2 model with ``changes`` applied to its fields."""
     fields = dict(intercept=np.zeros((1, 2)), core=np.ones((2, 2)),
@@ -78,6 +108,18 @@ def _network(entities=("a", "b"), blocks=np.zeros((1, 1, 2, 2)),
              kept=np.zeros((1, 1, 2, 2))):
     return MultilayerNetwork(entity_labels=entities, layer_labels=["x"], blocks=blocks,
                              kept=kept, p_values=np.zeros((1, 1, 2, 2)))
+
+
+def _config_file(text):
+    """``PipelineConfig.from_file`` on ``text``, written to ``run.conf`` in the
+    working directory."""
+    with open("run.conf", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return PipelineConfig.from_file("run.conf")
+
+
+def _one_date_panel(entities=("a", "b")):
+    return PanelSeries(["2020-01-01"], entities, ["x"], np.ones((1, 2, 1)))
 
 
 # Each guard that no run reaches, called directly, with its whole message.
@@ -114,10 +156,61 @@ GUARDS = {
         "block weights must be finite"),
     "network-repeated-label": (lambda: _network(entities=("a", "a")),
                                "entity and layer labels must be unique"),
+    "network-label-count": (lambda: from_coefficient(np.zeros((2, 1, 2, 1)), ["a"], ["x"]),
+                            "label counts do not match coefficient extents"),
+    # the order is checked first, before the series and before the one-weight
+    # shortcut that a single observation takes
+    "fracdiff-alpha": (lambda: fracdiff_apply([1.0], 1.5),
+                       "alpha must lie in [0, 1], got 1.5"),
+    "fracdiff-n-weights": (lambda: fracdiff_apply([np.nan], 0.2, n_weights=0),
+                           "n_weights must be >= 1, got 0"),
+    "fracdiff-empty-series": (lambda: fracdiff_apply(np.empty((0, 2)), 0.3),
+                              "series must have at least one observation"),
+    "adf-not-1d": (lambda: adf_test(np.zeros((20, 2))), "series must be 1-D"),
+    "adf-non-finite": (lambda: adf_test(np.r_[np.arange(19.0), np.inf]),
+                       "series contains NaN or Inf"),
+    "adf-negative-lags": (lambda: adf_test(np.arange(20.0) ** 2, n_lags=-1),
+                          "n_lags must be >= 0"),
+    "alpha-search-not-2d": (lambda: find_min_alpha(np.zeros((20, 2, 2)), (0.1,)),
+                            "columns must be a (T, n_series) array"),
+    "alpha-search-non-finite": (lambda: find_min_alpha(np.r_[np.arange(19.0), np.nan], (0.1,)),
+                                "panel contains NaN or Inf"),
+    "panel-repeated-label": (lambda: _one_date_panel(entities=("a", "a")),
+                             "entity and layer labels must be unique"),
+    "config-alpha": (lambda: PipelineConfig(alpha=1.5), "alpha must lie in [0, 1]"),
+    "config-adf-lags": (lambda: PipelineConfig(adf_lags=-1), "adf_lags must be >= 0"),
+    "config-lag": (lambda: PipelineConfig(lag=0), "lag must be >= 1"),
+    "config-missing-policy": (lambda: PipelineConfig(missing_policy="drop"),
+                              "missing_policy must be 'reject' or 'ffill'"),
+    "config-file-no-equals": (lambda: _config_file("alpha 0.3\n"),
+                              "run.conf:1: expected 'key = value'"),
+    "config-file-duplicate-key": (lambda: _config_file("alpha = 0.3\nalpha = 0.2\n"),
+                                  "run.conf:2: duplicate key 'alpha'"),
+    "config-file-not-a-boolean": (
+        lambda: _config_file("log_transform = maybe\n"),
+        "run.conf:1: bad value for 'log_transform': not a boolean: 'maybe'"),
+    # ceil(0.05 T) reaches T only at T = 1
+    "burn-in-whole-panel": (
+        lambda: prepare_panel(_one_date_panel(), PipelineConfig(alpha=0.3, drop_burn_in=True)),
+        "burn-in drop would remove the whole panel"),
+    "fit-empty-lambda-grid": (lambda: FitConfig(lambda_grid=()), "lambda_grid is empty"),
+    "pair-no-data-mode": (lambda: closed_form_fit(np.zeros(5), np.zeros((5, 2)), 0.0),
+                          "x and y need a sample mode plus at least one data mode"),
+    "pair-sample-extents": (lambda: closed_form_fit(np.zeros((5, 2)), np.zeros((4, 2)), 0.0),
+                            "sample extents differ: 5 vs 4"),
+    "r2-shape": (lambda: predicted_r2(_tar_model(), np.zeros((3, 2)), np.zeros((3, 3))),
+                 "y_test shape does not match predictions"),
+    "synthetic-order": (lambda: fractional_integrate(np.zeros(3), 1.0),
+                        "order must lie in [0, 1)"),
+    "synthetic-support": (lambda: sparse_stable_coefficient(2, 1, support_fraction=0.0),
+                          "support_fraction must lie in (0, 1]"),
+    "synthetic-spectral-norm": (lambda: sparse_stable_coefficient(2, 1, spectral_norm=1.0),
+                                "spectral_norm must lie in (0, 1)"),
 }
 
 
 @pytest.mark.parametrize("call, message", GUARDS.values(), ids=GUARDS.keys())
-def test_guard_raises_its_message(call, message):
+def test_guard_raises_its_message(call, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a row writes the file it reads
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

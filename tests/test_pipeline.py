@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multitar.cli import _load_config, build_parser, main
-from multitar.fracdiff import FracDiffSpec, find_min_alpha, fracdiff_apply
+from multitar.fracdiff import find_min_alpha, fracdiff_apply
 from multitar.multinet import apply_filter, from_coefficient
 from multitar.netfilter import (
     WeightedDigraph,
@@ -331,7 +331,7 @@ class TestRunPipeline:
             level=config.adf_level, n_lags=info["adf_lags"])
         differenced = ingest_csv(os.path.join(config.out_dir, "differenced.csv"))
         np.testing.assert_array_equal(differenced.values, fracdiff_apply(
-            logs, FracDiffSpec(alpha=info["alpha"], n_weights=t_len)))
+            logs, info["alpha"], n_weights=t_len))
 
     def test_readme_library_block_runs(self, tmp_path, monkeypatch):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -397,6 +397,41 @@ class TestRunPipeline:
             run_pipeline(small_config, panel)
         assert out.read_text(encoding="utf-8") == "mine"
         assert [p.name for p in out.parent.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize("out", [".", ".."])
+    def test_refuses_the_working_directory_and_its_ancestors(
+            self, small_panel, small_config, monkeypatch, capsys, out):
+        # renaming such an out_dir aside fails (".") or deletes the directory
+        # the process runs in, so it is refused before any stage
+        panel, _ = small_panel
+        run_pipeline(small_config, panel)
+        earlier = pathlib.Path(small_config.out_dir)
+        export_panel(panel, earlier.parent / "panel.csv")
+        before = {p: p.read_bytes() for p in earlier.parent.rglob("*") if p.is_file()}
+        monkeypatch.chdir(earlier)
+
+        def unreached(panel, config):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(pipeline_module, "prepare_panel", unreached)
+        message = f"refusing to replace {out}: it is or holds the working directory"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_pipeline(dataclasses.replace(small_config, out_dir=out), panel)
+        assert main(["pipeline", "--input", "../panel.csv", "--out", out,
+                     "--alpha", "0.3"]) == 2
+        assert capsys.readouterr().err == f"error: [pipeline] {message}\n"
+        assert {p: p.read_bytes() for p in earlier.parent.rglob("*") if p.is_file()} == before
+
+    def test_runs_in_a_deleted_working_directory(self, small_panel, small_config,
+                                                 tmp_path, monkeypatch):
+        # no out_dir holds a working directory that was deleted
+        panel, _ = small_panel
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        run_pipeline(small_config, panel)
+        assert (pathlib.Path(small_config.out_dir) / "manifest.json").is_file()
 
     def test_nonpositive_values_fail_log_stage(self, small_panel, tmp_path):
         panel, _ = small_panel
